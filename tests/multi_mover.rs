@@ -1,7 +1,6 @@
-//! Umbrella suite for the multi-mover scheduling ablation (ROADMAP
-//! item 3): the default path is pinned byte-for-byte against pre-ablation
-//! golden digests, and every multi-mover schedule is proven safe three
-//! independent ways — replayed through the hardware constraint checker,
+//! Umbrella suite for the multi-mover scheduling ablation: both scheduling
+//! modes are pinned byte-for-byte against golden digests, and every
+//! multi-mover schedule is proven safe three independent ways — replayed through the hardware constraint checker,
 //! checked pairwise against the all-pairs corridor oracle, and
 //! statevector-diffed against the single-mover compile of the same
 //! circuit.
@@ -14,6 +13,7 @@
 
 use parallax_circuit::{Circuit, DependencyDag, SlackTable};
 use parallax_core::scheduler::Schedule;
+use parallax_core::SchedulingMode::{self, MultiMover, Single};
 use parallax_core::{
     discretize, schedule_gates, select_aod_qubits, CompilerConfig, ParallaxCompiler,
 };
@@ -24,30 +24,52 @@ use parallax_sim::parallax_schedule_fidelity;
 use parallax_testkit::{arb_hcz_circuit, large_machine, lcg_circuit};
 use proptest::prelude::*;
 
-/// Pre-PR golden digests of default-mode compiles: (bench, machine,
-/// config seed) -> `schedule_digest`. Captured at commit `ab79a41`, the
-/// commit *before* the multi-mover ablation landed; the default path
-/// must keep reproducing them byte-for-byte (the digest covers home
-/// positions, AOD selection, and every layer's gates and moves).
-const GOLDEN: &[(&str, &str, u64, u64)] = &[
-    ("GCM", "quera-256", 0, 0x24732dab815cee19),
-    ("GCM", "quera-256", 1, 0x17c104ee1374b4bc),
-    ("GCM", "quera-256", 2, 0x470e823253f01f93),
-    ("QAOA", "quera-256", 0, 0x999e477f05dbcde9),
-    ("QAOA", "quera-256", 1, 0x735c0bcd9c8024f6),
-    ("QAOA", "quera-256", 2, 0x9d2533dadf19bcc5),
-    ("SECA", "quera-256", 0, 0xa41d050d53e794ab),
-    ("SECA", "quera-256", 1, 0x458fb2f1a4275316),
-    ("SECA", "quera-256", 2, 0xde5cd8c4f09f867a),
-    ("GCM", "atom-1225", 0, 0x5e80af6ddc1a4a30),
-    ("GCM", "atom-1225", 1, 0x8133ca6d7c6ee6d1),
-    ("GCM", "atom-1225", 2, 0xaff13c970a7344e6),
-    ("QAOA", "atom-1225", 0, 0xa53eaa21ac224e78),
-    ("QAOA", "atom-1225", 1, 0x95935f130af3a68f),
-    ("QAOA", "atom-1225", 2, 0x947b8bca0abd0944),
-    ("SECA", "atom-1225", 0, 0xd99b4012425ad6ea),
-    ("SECA", "atom-1225", 1, 0x167d81f093d3442b),
-    ("SECA", "atom-1225", 2, 0x4c2b438d1b37c84f),
+/// Golden schedules: (bench, machine, scheduling mode, config seed) ->
+/// (`schedule_digest`, multi-mover `layers_saved`, multi-mover
+/// `conflict_rejections`). Every compile uses `CompilerConfig::quick(seed)`,
+/// plus `with_multi_mover()` on the `MultiMover` rows. The `Single` rows
+/// were captured at commit `ab79a41`, before the multi-mover ablation
+/// landed; the `MultiMover` rows at commit `3717cc5`, before the two
+/// scheduler layer loops were merged into one. Both modes must keep
+/// reproducing them byte-for-byte (the digest covers home positions, AOD
+/// selection, and every layer's gates and moves).
+const GOLDEN: &[(&str, &str, SchedulingMode, u64, u64, usize, usize)] = &[
+    ("GCM", "quera-256", Single, 0, 0x24732dab815cee19, 0, 0),
+    ("GCM", "quera-256", Single, 1, 0x17c104ee1374b4bc, 0, 0),
+    ("GCM", "quera-256", Single, 2, 0x470e823253f01f93, 0, 0),
+    ("QAOA", "quera-256", Single, 0, 0x999e477f05dbcde9, 0, 0),
+    ("QAOA", "quera-256", Single, 1, 0x735c0bcd9c8024f6, 0, 0),
+    ("QAOA", "quera-256", Single, 2, 0x9d2533dadf19bcc5, 0, 0),
+    ("SECA", "quera-256", Single, 0, 0xa41d050d53e794ab, 0, 0),
+    ("SECA", "quera-256", Single, 1, 0x458fb2f1a4275316, 0, 0),
+    ("SECA", "quera-256", Single, 2, 0xde5cd8c4f09f867a, 0, 0),
+    ("GCM", "atom-1225", Single, 0, 0x5e80af6ddc1a4a30, 0, 0),
+    ("GCM", "atom-1225", Single, 1, 0x8133ca6d7c6ee6d1, 0, 0),
+    ("GCM", "atom-1225", Single, 2, 0xaff13c970a7344e6, 0, 0),
+    ("QAOA", "atom-1225", Single, 0, 0xa53eaa21ac224e78, 0, 0),
+    ("QAOA", "atom-1225", Single, 1, 0x95935f130af3a68f, 0, 0),
+    ("QAOA", "atom-1225", Single, 2, 0x947b8bca0abd0944, 0, 0),
+    ("SECA", "atom-1225", Single, 0, 0xd99b4012425ad6ea, 0, 0),
+    ("SECA", "atom-1225", Single, 1, 0x167d81f093d3442b, 0, 0),
+    ("SECA", "atom-1225", Single, 2, 0x4c2b438d1b37c84f, 0, 0),
+    ("GCM", "quera-256", MultiMover, 0, 0x1e0a6982373cc9e4, 1, 776),
+    ("GCM", "quera-256", MultiMover, 1, 0xb646994fd3009e91, 80, 855),
+    ("GCM", "quera-256", MultiMover, 2, 0x0ed1aa0d49aa6642, 0, 452),
+    ("QV", "quera-256", MultiMover, 0, 0xfafde54db9fcfae9, 28, 796),
+    ("QV", "quera-256", MultiMover, 1, 0xd0ae12807a533cf6, 47, 944),
+    ("QV", "quera-256", MultiMover, 2, 0x7e5705d2b247ea19, 13, 249),
+    ("QGAN", "quera-256", MultiMover, 0, 0x1d95bee35d43d8df, 3, 337),
+    ("QGAN", "quera-256", MultiMover, 1, 0xba99fbdab02a7405, 7, 46),
+    ("QGAN", "quera-256", MultiMover, 2, 0xa78801b69fd14654, 0, 151),
+    ("SECA", "quera-256", MultiMover, 0, 0xa949efbdf0b45195, 0, 3),
+    ("SECA", "quera-256", MultiMover, 1, 0x6fa8ea9a6dd41992, 0, 18),
+    ("SECA", "quera-256", MultiMover, 2, 0x8483e50070711634, 0, 42),
+    ("VQE", "quera-256", MultiMover, 0, 0x7d8d22fea990eb71, 40, 6447),
+    ("VQE", "quera-256", MultiMover, 1, 0x85b812cb6d2d0f21, 0, 2496),
+    ("VQE", "quera-256", MultiMover, 2, 0xefecb84f2f7ae368, 314, 3696),
+    ("GCM", "atom-1225", MultiMover, 0, 0x56f16947395bc4dd, 1, 776),
+    ("GCM", "atom-1225", MultiMover, 1, 0x4f2fa43cd4714620, 80, 855),
+    ("GCM", "atom-1225", MultiMover, 2, 0xb9b71040c09a3f4b, 0, 452),
 ];
 
 fn machine(label: &str) -> MachineSpec {
@@ -62,20 +84,28 @@ fn bench_circuit(name: &str, seed: u64) -> Circuit {
     parallax_workloads::benchmark(name).expect("Table III benchmark").circuit(seed)
 }
 
-/// The tentpole's "off by default" contract: with the ablation flag off,
-/// the compiler reproduces the pre-PR schedules bit for bit, on both
-/// Table II machines, across seeds.
+/// Both scheduling modes reproduce their golden schedules bit for bit, on
+/// both Table II machines, across seeds; the multi-mover rows also pin the
+/// ablation's `layers_saved` and `conflict_rejections` counters, and the
+/// default rows pin that the ablation path never ran.
 #[test]
-fn default_mode_matches_pre_pr_golden_digests() {
-    for &(bench, label, seed, want) in GOLDEN {
+fn schedules_match_golden_digests() {
+    for &(bench, label, mode, seed, want, layers_saved, conflicts) in GOLDEN {
         let c = bench_circuit(bench, seed);
-        let r = ParallaxCompiler::new(machine(label), CompilerConfig::quick(seed)).compile(&c);
+        let cfg = CompilerConfig { scheduling: mode, ..CompilerConfig::quick(seed) };
+        let r = ParallaxCompiler::new(machine(label), cfg).compile(&c);
         assert_eq!(
             schedule_digest(&r),
             want,
-            "{bench} on {label} at seed {seed} no longer matches the pre-PR schedule"
+            "{bench} on {label} ({mode:?}) at seed {seed} no longer matches the golden schedule"
         );
-        assert!(!r.schedule.stats.multi_mover.enabled, "default compile ran the ablation path");
+        let mm = &r.schedule.stats.multi_mover;
+        assert_eq!(mm.enabled, mode == MultiMover, "{bench} on {label} at seed {seed}: mode");
+        assert_eq!(
+            (mm.layers_saved, mm.conflict_rejections),
+            (layers_saved, conflicts),
+            "{bench} on {label} ({mode:?}) at seed {seed}: multi-mover counters"
+        );
     }
 }
 
