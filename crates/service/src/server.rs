@@ -822,6 +822,17 @@ fn ok_response(
 mod tests {
     use super::*;
     use crate::json;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serialises the tests that flip the process-global trace flag: the
+    /// test harness runs them on parallel threads, and one test disabling
+    /// tracing in the middle of another's traced compile drops that
+    /// compile's spans.
+    static TRACE_FLAG: Mutex<()> = Mutex::new(());
+
+    fn lock_trace_flag() -> MutexGuard<'static, ()> {
+        TRACE_FLAG.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     fn test_server(workers: usize, queue: usize, cache: usize) -> ServerHandle {
         start(ServerConfig {
@@ -901,6 +912,7 @@ mod tests {
     fn trace_op_returns_span_trees_when_enabled() {
         let server = test_server(1, 4, 1 << 20);
         let core = &server.core;
+        let _flag = lock_trace_flag();
         parallax_trace::set_enabled(true);
         let r = json::parse(&handle_request(&submit_line("TFIM", 5), core).0).unwrap();
         parallax_trace::set_enabled(false);
@@ -929,6 +941,7 @@ mod tests {
     fn trace_op_annotates_client_tagged_requests() {
         let server = test_server(1, 4, 1 << 20);
         let core = &server.core;
+        let _flag = lock_trace_flag();
         parallax_trace::set_enabled(true);
         let tagged = "{\"cmd\":\"submit\",\"workload\":\"SAT\",\"seed\":9,\"quick\":true,\
                       \"trace_id\":\"corr-xyz\"}";

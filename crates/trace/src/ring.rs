@@ -375,9 +375,20 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serialises the tests that flip the process-global enable flag: the
+    /// test harness runs them on parallel threads, and one test enabling
+    /// tracing would otherwise record spans inside another's window.
+    static ENABLE_FLAG: Mutex<()> = Mutex::new(());
+
+    fn lock_enable_flag() -> MutexGuard<'static, ()> {
+        ENABLE_FLAG.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn spans_record_nesting_and_trace_ids() {
+        let _flag = lock_enable_flag();
         set_enabled(true);
         let id = next_trace_id();
         {
@@ -414,12 +425,14 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_inert() {
+        let _flag = lock_enable_flag();
         set_enabled(false);
-        let before = snapshot_events().len();
+        let count = || snapshot_events().iter().filter(|e| e.name == "ringtest.disabled").count();
+        let before = count();
         {
             let _s = crate::span!("ringtest.disabled");
         }
-        assert_eq!(snapshot_events().len(), before);
+        assert_eq!(count(), before);
     }
 
     #[test]
