@@ -144,7 +144,7 @@ fn main() {
         println!("== Fig. 13: AOD count ablation (Atom-1225) ==\n{}", render_table(&h, &d));
     }
 
-    // The ROADMAP item 3 scheduling ablation (outside `all`, so the
+    // The multi-mover scheduling ablation (outside `all`, so the
     // paper-preset outputs stay byte-identical): default vs multi-mover
     // layers on the Table III workloads, statevector-verified where the
     // simulator can hold the circuit.

@@ -8,10 +8,11 @@ use parallax_hardware::StableHasher;
 /// The paper's Algorithm 1 plans exactly one move per layer
 /// ([`SchedulingMode::Single`], the default — every paper preset and
 /// experiment table compiles through this path, byte-identical to
-/// pre-ablation builds). [`SchedulingMode::MultiMover`] is the ROADMAP
-/// item 3 "beyond the paper" arm: several moves share a layer when their
-/// interference corridors are pairwise disjoint, with ASAP/ALAP slack
-/// ordering the candidates. See `docs/SCHEDULING.md` for the contract.
+/// pre-ablation builds). [`SchedulingMode::MultiMover`] is the "beyond
+/// the paper" ablation arm: several moves share a layer when their
+/// interference corridors are pairwise disjoint, with ALAP deadlines
+/// ordering the candidates. Both modes run the same layer loop; see
+/// `docs/SCHEDULING.md` for where they differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulingMode {
     /// One AOD move batch per layer (paper Algorithm 1, lines 16-17).
@@ -71,7 +72,7 @@ impl CompilerConfig {
         self
     }
 
-    /// Enable the multi-mover ablation path (ROADMAP item 3).
+    /// Enable the multi-mover ablation path.
     pub fn with_multi_mover(mut self) -> Self {
         self.scheduling = SchedulingMode::MultiMover;
         self

@@ -8,6 +8,12 @@
 //! unexecuted list; and moved AOD atoms return to their pre-layer homes
 //! after execution (the Fig. 12 ablation toggles this off).
 //!
+//! One layer loop, [`schedule_gates`], serves both scheduling modes. The
+//! multi-mover ablation ([`crate::multi_mover`]) swaps in a different
+//! commit rule — several corridor-disjoint moves per layer, taken in ALAP
+//! deadline order, with no shuffle — at the four decision points listed on
+//! [`schedule_gates`]; everything below is shared by both modes.
+//!
 //! # The hot path
 //!
 //! On large circuits the scheduler dominates warm-cache compiles, so its
@@ -45,11 +51,12 @@
 //! [`crate::profile`], one call per executed layer.
 
 use crate::aod_select::AodSelection;
-use crate::config::CompilerConfig;
+use crate::config::{CompilerConfig, SchedulingMode};
 use crate::discretize::DiscretizedLayout;
 #[cfg(any(test, debug_assertions))]
 use crate::movement::plan_return_home;
 use crate::movement::{plan_move_into_range, MovePlan};
+use crate::multi_mover::MultiMoverRule;
 use crate::profile::{self, Stage};
 use parallax_circuit::{Circuit, DependencyDag, Gate, QubitGatesCsr};
 use parallax_hardware::{within_blockade, AodMove, AtomArray, CellGeometry, Point};
@@ -105,7 +112,11 @@ pub struct CompileStats {
     pub failed_moves: usize,
     /// Sum of per-layer maximum move distances, µm.
     pub total_move_distance_um: f64,
-    /// Gates deferred because the layer's single move was already spent.
+    /// Gates deferred to a later layer: AOD-operand gates turned away
+    /// because the layer's single move was already spent (default mode) or
+    /// because their plan conflicted with the layer's committed plans in
+    /// both directions (multi-mover mode), plus kept gates whose operands
+    /// a committed move displaced out of range.
     pub deferred_gates: usize,
     /// Gates ejected by the Rydberg blockade interference check.
     pub blockade_ejections: usize,
@@ -246,7 +257,7 @@ impl Schedule {
 }
 
 /// Safety factor on scheduling iterations before declaring livelock.
-pub(crate) fn iteration_cap(num_gates: usize) -> usize {
+fn iteration_cap(num_gates: usize) -> usize {
     10 * num_gates + 1000
 }
 
@@ -264,7 +275,7 @@ pub(crate) fn iteration_cap(num_gates: usize) -> usize {
 /// ready exactly when the partner's pointer reaches it. Rebuilding `curr`
 /// from the sorted emitter list therefore reproduces the naive full scan's
 /// gate order at every layer by construction.
-pub(crate) struct Frontier {
+struct Frontier {
     emits: Vec<bool>,
     /// Emitting qubits, ascending (the naive scan's visit order).
     emitters: Vec<u32>,
@@ -303,14 +314,14 @@ impl Frontier {
     }
 
     /// Initial population: one full scan, identical to the naive rebuild.
-    pub(crate) fn seed(&mut self, gates: &[Gate], qubit_gates: &QubitGatesCsr, ptr: &[usize]) {
+    fn seed(&mut self, gates: &[Gate], qubit_gates: &QubitGatesCsr, ptr: &[usize]) {
         for q in 0..self.emits.len() {
             self.refresh(q, gates, qubit_gates, ptr);
         }
     }
 
     /// Update after a layer advanced the pointers of `advanced` qubits.
-    pub(crate) fn advance(
+    fn advance(
         &mut self,
         advanced: &[u32],
         gates: &[Gate],
@@ -331,12 +342,7 @@ impl Frontier {
 
     /// Write the current layer's gate list into `curr` (ascending emitter
     /// order, one gate per emitter — a gate's emitter is unique).
-    pub(crate) fn collect(
-        &self,
-        qubit_gates: &QubitGatesCsr,
-        ptr: &[usize],
-        curr: &mut Vec<usize>,
-    ) {
+    fn collect(&self, qubit_gates: &QubitGatesCsr, ptr: &[usize], curr: &mut Vec<usize>) {
         curr.clear();
         for &q in &self.emitters {
             curr.push(qubit_gates.row(q as usize)[ptr[q as usize]] as usize);
@@ -355,7 +361,7 @@ impl Frontier {
 /// of every accepted gate. The cell math is the hardware crate's
 /// [`CellGeometry`] — the same clamped-superset guarantees as the atom
 /// occupancy index. Cleared per layer via the occupied-cell list.
-pub(crate) struct BlockadeIndex {
+struct BlockadeIndex {
     cells: CellGeometry,
     /// Query reach, µm: the blockade radius plus slack covering
     /// [`within_blockade`]'s `+1e-9` squared-distance epsilon — the
@@ -369,7 +375,7 @@ pub(crate) struct BlockadeIndex {
     /// every capacity growth of a bucket or the occupied list. Feeds
     /// [`CompileStats::bucket_scratch_allocs`] — `clear` keeps capacity,
     /// so a compile's count plateaus once the per-layer working set fits.
-    pub(crate) allocs: usize,
+    allocs: usize,
 }
 
 impl BlockadeIndex {
@@ -384,14 +390,14 @@ impl BlockadeIndex {
         }
     }
 
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         for &b in &self.occupied {
             self.buckets[b].clear();
         }
         self.occupied.clear();
     }
 
-    pub(crate) fn insert(&mut self, p: Point) {
+    fn insert(&mut self, p: Point) {
         let b = self.cells.cell_of(p);
         if self.buckets[b].is_empty() {
             if self.occupied.len() == self.occupied.capacity() {
@@ -407,7 +413,7 @@ impl BlockadeIndex {
 
     /// Whether any stored endpoint blockades `p` (exactly the naive
     /// all-pairs predicate, restricted to the cells that can contain hits).
-    pub(crate) fn conflicts(&self, p: Point, r: f64, factor: f64) -> bool {
+    fn conflicts(&self, p: Point, r: f64, factor: f64) -> bool {
         let mut hit = false;
         self.cells.for_each_cell_within(p, self.reach_um, |cell| {
             if !hit {
@@ -434,9 +440,9 @@ impl BlockadeIndex {
 /// after the epoch moved on, when an exact comparison shows the AOD
 /// configuration returned to the recorded one (the common case under
 /// home-return, where every layer's moves are undone).
-pub(crate) struct FailedMoveMemo {
+struct FailedMoveMemo {
     entries: HashMap<(u32, u32), MemoEntry>,
-    pub(crate) hits: usize,
+    hits: usize,
 }
 
 struct MemoEntry {
@@ -452,7 +458,7 @@ impl FailedMoveMemo {
     /// Whether a recorded failure for `(mover, target)` is still valid.
     /// Re-arms the epoch fast path when the configuration matches under a
     /// newer epoch.
-    pub(crate) fn still_failed(&mut self, array: &AtomArray, mover: u32, target: u32) -> bool {
+    fn still_failed(&mut self, array: &AtomArray, mover: u32, target: u32) -> bool {
         let Some(entry) = self.entries.get_mut(&(mover, target)) else {
             return false;
         };
@@ -470,7 +476,7 @@ impl FailedMoveMemo {
     }
 
     /// Record that `(mover, target)` failed against the current state.
-    pub(crate) fn record(&mut self, array: &AtomArray, mover: u32, target: u32) {
+    fn record(&mut self, array: &AtomArray, mover: u32, target: u32) {
         let mut aod_snapshot = Vec::new();
         array.aod_snapshot(&mut aod_snapshot);
         self.entries
@@ -490,9 +496,9 @@ impl FailedMoveMemo {
 /// whenever that configuration recurs. Under home-return the configuration
 /// recurs every layer (atoms move out and back), which makes the epoch
 /// re-arm path the steady state on repetitive circuits.
-pub(crate) struct PlanMemo {
+struct PlanMemo {
     entries: HashMap<(u32, u32), PlanMemoEntry>,
-    pub(crate) hits: usize,
+    hits: usize,
 }
 
 struct PlanMemoEntry {
@@ -540,13 +546,13 @@ impl PlanMemo {
 /// [`crate::layout_cache::PlanCache`]. The static half of the key is
 /// computed once per compile (SLM atoms never move while scheduling runs);
 /// the AOD half is re-fingerprinted at most once per position epoch.
-pub(crate) struct PlanCaches {
-    pub(crate) memo: PlanMemo,
+struct PlanCaches {
+    memo: PlanMemo,
     static_fp: u64,
     aod_fp: u64,
     aod_fp_epoch: u64,
     aod_fp_valid: bool,
-    pub(crate) cross_hits: usize,
+    cross_hits: usize,
 }
 
 impl PlanCaches {
@@ -575,7 +581,7 @@ impl PlanCaches {
     /// then the real probe cascade — recording a success in both layers.
     /// Bit-identical to calling the planner directly, by purity plus the
     /// exact-configuration checks on every reuse.
-    pub(crate) fn plan(
+    fn plan(
         &mut self,
         array: &AtomArray,
         mover: u32,
@@ -613,20 +619,20 @@ impl PlanCaches {
 /// naive implementation allocated per layer lives here and is cleared (not
 /// freed) between layers, and the per-layer `effective`-position map is an
 /// index-keyed stamped array instead of a `HashMap`.
-pub(crate) struct SchedulerScratch {
-    pub(crate) frontier: Frontier,
-    pub(crate) curr: Vec<usize>,
-    pub(crate) kept: Vec<usize>,
-    pub(crate) accepted: Vec<usize>,
-    pub(crate) trap_changed: Vec<(usize, u32)>,
-    pub(crate) advanced: Vec<u32>,
+struct SchedulerScratch {
+    frontier: Frontier,
+    curr: Vec<usize>,
+    kept: Vec<usize>,
+    accepted: Vec<usize>,
+    trap_changed: Vec<(usize, u32)>,
+    advanced: Vec<u32>,
     /// Effective operand positions keyed by gate index, valid when the
     /// stamp matches the current layer.
-    pub(crate) eff_pos: Vec<[Point; 2]>,
-    pub(crate) eff_stamp: Vec<u64>,
-    pub(crate) blockade: BlockadeIndex,
-    pub(crate) memo: FailedMoveMemo,
-    pub(crate) plans: PlanCaches,
+    eff_pos: Vec<[Point; 2]>,
+    eff_stamp: Vec<u64>,
+    blockade: BlockadeIndex,
+    memo: FailedMoveMemo,
+    plans: PlanCaches,
     /// Per-compile home-return bookkeeping: each AOD atom's home is
     /// recorded once, the first layer that ever moves it (under
     /// home-return it is back at that exact position at every layer
@@ -635,23 +641,18 @@ pub(crate) struct SchedulerScratch {
     /// ever-moved list instead of rebuilding a per-layer home list per
     /// mover — the batching that used to pay one `Vec` push per plan move
     /// per layer.
-    pub(crate) home_pos: Vec<Point>,
-    pub(crate) moved_list: Vec<u32>,
-    pub(crate) moved_stamp: Vec<u64>,
-    pub(crate) return_moves: Vec<AodMove>,
+    home_pos: Vec<Point>,
+    moved_list: Vec<u32>,
+    moved_stamp: Vec<u64>,
+    return_moves: Vec<AodMove>,
     /// Ever-moved atoms the return pass skipped because their position
     /// epoch is unchanged since the layer that last moved them (they are
     /// already home). Feeds [`CompileStats::home_return_skips`].
-    pub(crate) return_skips: usize,
+    return_skips: usize,
 }
 
 impl SchedulerScratch {
-    pub(crate) fn new(
-        num_qubits: usize,
-        num_gates: usize,
-        array: &AtomArray,
-        blockade_um: f64,
-    ) -> Self {
+    fn new(num_qubits: usize, num_gates: usize, array: &AtomArray, blockade_um: f64) -> Self {
         let margin = array.grid().pitch_um();
         Self {
             frontier: Frontier::new(num_qubits),
@@ -674,96 +675,34 @@ impl SchedulerScratch {
     }
 }
 
-/// Record a committed move batch for the home-return pass: first-ever
-/// movers get their home (current, pre-commit position) recorded, and
-/// every mover is stamped with this layer's guard count. Call **before**
-/// applying the batch. Free function over split [`SchedulerScratch`]
-/// fields so it can run while the layer loop holds borrows of the other
-/// scratch vectors.
-pub(crate) fn record_moved_batch(
-    home_pos: &mut [Point],
-    moved_list: &mut Vec<u32>,
-    moved_stamp: &mut [u64],
-    array: &AtomArray,
-    moves: &[AodMove],
-    guard: u64,
-) {
-    for m in moves {
-        let q = m.q as usize;
-        if moved_stamp[q] == 0 {
-            home_pos[q] = array.position(m.q);
-            moved_list.push(m.q);
-        }
-        moved_stamp[q] = guard;
-    }
-}
-
-/// The batched home-return pass: emit one return move per atom moved this
-/// layer, skip (and count) every ever-moved atom whose position epoch is
-/// unchanged since the last layer — it is parked at home and needs no
-/// distance re-check. Returns the longest return displacement.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn return_home_batch(
-    home_pos: &[Point],
-    moved_list: &[u32],
-    moved_stamp: &[u64],
-    return_moves: &mut Vec<AodMove>,
-    return_skips: &mut usize,
-    array: &mut AtomArray,
-    guard: u64,
-) -> f64 {
-    return_moves.clear();
-    let mut max_distance_um = 0.0f64;
-    for &q in moved_list {
-        if moved_stamp[q as usize] != guard {
-            *return_skips += 1;
-            continue;
-        }
-        let home = home_pos[q as usize];
-        let distance = array.position(q).distance(&home);
-        // Same sub-nanometre filter as `plan_return_home`, so the emitted
-        // moves (and the serialized max distance) stay byte-identical to
-        // the per-layer oracle path.
-        if distance <= 1e-9 {
-            continue;
-        }
-        max_distance_um = max_distance_um.max(distance);
-        return_moves.push(AodMove { q, x: home.x, y: home.y });
-    }
-    if !return_moves.is_empty() {
-        array.apply_aod_moves(return_moves).expect("home configuration is always valid");
-    }
-    max_distance_um
-}
-
 /// Run Algorithm 1. Mutates `layout.array` (atom motion and trap state).
 ///
-/// Dispatches on [`CompilerConfig::scheduling`]: the default
-/// [`SchedulingMode::Single`] path is the paper's one-move-per-layer rule,
-/// byte-identical to every pre-ablation build; the
-/// [`SchedulingMode::MultiMover`] path batches disjoint-corridor moves
-/// (see [`crate::multi_mover`]).
+/// One layer loop serves both [`CompilerConfig::scheduling`] modes. The
+/// mode is read once, to build the multi-mover rule's state
+/// (`MultiMoverRule`, `None` under the default [`SchedulingMode::Single`]),
+/// and the loop consults that state at exactly four decision points:
+///
+/// 1. **Order** — the multi-mover rule sorts the frontier by ALAP deadline;
+///    the default keeps ascending-qubit frontier order.
+/// 2. **Admission** — the default rule defers every further AOD-operand
+///    gate once a plan has committed (paper lines 16-17), before the
+///    failed-move memo is consulted.
+/// 3. **Commit test** — the multi-mover rule admits a plan only if its
+///    corridors and final gate pair clear the layer's committed plans,
+///    retrying the reverse mover on a conflict.
+/// 4. **Shuffle** — the default rule shuffles the kept gates with the
+///    seeded RNG before blockade ejection; the multi-mover rule keeps
+///    deadline order and never touches the RNG.
+///
+/// Everything else — frontier, trap-change fallback, blockade ejection,
+/// home return — is shared, so the default path stays byte-identical to
+/// every pre-ablation build.
 ///
 /// [`SchedulingMode::Single`]: crate::config::SchedulingMode::Single
-/// [`SchedulingMode::MultiMover`]: crate::config::SchedulingMode::MultiMover
 pub fn schedule_gates(
     circuit: &Circuit,
     layout: &mut DiscretizedLayout,
-    selection: &AodSelection,
-    config: &CompilerConfig,
-) -> Schedule {
-    match config.scheduling {
-        crate::config::SchedulingMode::Single => schedule_gates_single(circuit, layout, config),
-        crate::config::SchedulingMode::MultiMover => {
-            crate::multi_mover::schedule_gates_multi(circuit, layout, selection, config)
-        }
-    }
-}
-
-/// The default one-move-per-layer scheduling loop (paper Algorithm 1).
-fn schedule_gates_single(
-    circuit: &Circuit,
-    layout: &mut DiscretizedLayout,
+    _selection: &AodSelection,
     config: &CompilerConfig,
 ) -> Schedule {
     let gates = circuit.gates();
@@ -775,6 +714,8 @@ fn schedule_gates_single(
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5eed);
     let r = layout.interaction_radius_um;
     let blockade_factor = layout.array.spec().blockade_factor;
+    let mut multi = (config.scheduling == SchedulingMode::MultiMover)
+        .then(|| MultiMoverRule::new(circuit, &layout.array, r));
 
     let mut layers = Vec::new();
     let mut stats = CompileStats {
@@ -801,12 +742,17 @@ fn schedule_gates_single(
         drop(sp_frontier);
         profile::record(Stage::ScheduleFrontier, t_frontier, 0);
         assert!(!curr.is_empty(), "dependency frontier is empty before completion");
+        // Decision point 1: order.
+        if let Some(rule) = multi.as_mut() {
+            rule.begin_layer(curr, gates, &layout.array);
+        }
 
         // ---- Lines 12-19: movement resolution for out-of-range CZs. ----
         let t_movement = profile::begin();
         let sp_movement = parallax_trace::span!("schedule.movement");
-        let mut moved_this_layer = false;
         let mut committed_moves: Vec<AodMove> = Vec::new();
+        // Moves each committed plan contributed, in commit order.
+        let mut mover_plans: Vec<u32> = Vec::new();
         let mut move_distance_um = 0.0f64;
         let mut trap_changes = 0usize;
         // Gates that executed via trap change: (gate, virtually moved qubit).
@@ -832,93 +778,97 @@ fn schedule_gates_single(
             } else {
                 None
             };
-            match aod_operand {
-                Some(mover) if !moved_this_layer => {
-                    let target = if mover == a { b } else { a };
-                    if scratch.memo.still_failed(&layout.array, mover, target) {
-                        // The probe cascade failed against this exact AOD
-                        // configuration before; the planner is pure, so it
-                        // would fail identically — resolve with a trap
-                        // change straight away.
-                        stats.failed_moves += 1;
-                        trap_changes += 1;
-                        trap_changed.push((g, mover));
-                        kept.push(g);
-                        continue;
-                    }
-                    // Both cache levels sit in front of the probe cascade;
-                    // every reuse is exact-configuration verified, so the
-                    // plan is the one a fresh cascade would produce.
-                    let mut attempt = scratch.plans.plan(
-                        &layout.array,
-                        mover,
-                        target,
-                        r,
-                        config.max_move_recursion,
-                    );
-                    // With both operands mobile, either may be the mover;
-                    // retry in the other direction before giving up.
-                    if attempt.is_err() && layout.array.is_aod(target) {
-                        attempt = scratch.plans.plan(
-                            &layout.array,
-                            target,
-                            mover,
-                            r,
-                            config.max_move_recursion,
-                        );
-                    }
-                    match attempt {
-                        Ok(plan) => {
-                            record_moved_batch(
-                                &mut scratch.home_pos,
-                                &mut scratch.moved_list,
-                                &mut scratch.moved_stamp,
-                                &layout.array,
-                                &plan.moves,
-                                guard as u64,
-                            );
-                            layout
-                                .array
-                                .apply_aod_moves(&plan.moves)
-                                .expect("validated plan must commit");
-                            committed_moves = plan.moves;
-                            move_distance_um = plan.max_distance_um;
-                            moved_this_layer = true;
-                            stats.moves_planned += 1;
-                            stats.total_move_distance_um += plan.max_distance_um;
-                            kept.push(g);
-                        }
-                        Err(_) => {
-                            // Failed move: resolve with a trap change
-                            // (Section III: "Failed moves are resolved using
-                            // trap changes").
-                            scratch.memo.record(&layout.array, mover, target);
-                            stats.failed_moves += 1;
-                            trap_changes += 1;
-                            trap_changed.push((g, mover));
-                            kept.push(g);
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Line 16-17: one move per layer; defer this gate.
-                    deferred += 1;
+            let Some(mover) = aod_operand else {
+                // Lines 18-19: neither operand is mobile — release and
+                // retrap one of them (the ~1.3% case).
+                trap_changes += 1;
+                trap_changed.push((g, a));
+                kept.push(g);
+                continue;
+            };
+            // Decision point 2: admission. Lines 16-17: one move per
+            // layer; once it is spent, defer this gate.
+            if multi.is_none() && !mover_plans.is_empty() {
+                deferred += 1;
+                continue;
+            }
+            let target = if mover == a { b } else { a };
+            if scratch.memo.still_failed(&layout.array, mover, target) {
+                // The probe cascade failed against this exact AOD
+                // configuration before; the planner is pure, so it would
+                // fail identically — resolve with a trap change straight
+                // away.
+                stats.failed_moves += 1;
+                trap_changes += 1;
+                trap_changed.push((g, mover));
+                kept.push(g);
+                continue;
+            }
+            // Both cache levels sit in front of the probe cascade; every
+            // reuse is exact-configuration verified, so the plan is the one
+            // a fresh cascade would produce.
+            let plans = &mut scratch.plans;
+            let mut attempt =
+                plans.plan(&layout.array, mover, target, r, config.max_move_recursion);
+            // With both operands mobile, either may be the mover; retry in
+            // the other direction before giving up.
+            if attempt.is_err() && layout.array.is_aod(target) {
+                attempt = plans.plan(&layout.array, target, mover, r, config.max_move_recursion);
+            }
+            let plan = match attempt {
+                Ok(plan) => plan,
+                Err(_) => {
+                    // Failed move: resolve with a trap change (Section III:
+                    // "Failed moves are resolved using trap changes").
+                    scratch.memo.record(&layout.array, mover, target);
+                    stats.failed_moves += 1;
+                    trap_changes += 1;
+                    trap_changed.push((g, mover));
+                    kept.push(g);
                     continue;
                 }
-                None => {
-                    // Lines 18-19: neither operand is mobile — release and
-                    // retrap one of them (the ~1.3% case).
-                    trap_changes += 1;
-                    trap_changed.push((g, a));
-                    kept.push(g);
+            };
+            // Decision point 3: commit test.
+            let admitted = match multi.as_mut() {
+                None => Some(plan),
+                Some(rule) => rule.admit(&layout.array, a, b, plan, || {
+                    layout
+                        .array
+                        .is_aod(target)
+                        .then(|| {
+                            plans.plan(&layout.array, target, mover, r, config.max_move_recursion)
+                        })
+                        .and_then(Result::ok)
+                }),
+            };
+            let Some(plan) = admitted else {
+                deferred += 1;
+                continue;
+            };
+            // Record the batch for the home-return pass before applying
+            // it: first-ever movers get their pre-commit position recorded
+            // as home, and every mover is stamped with this layer.
+            for m in &plan.moves {
+                let q = m.q as usize;
+                if scratch.moved_stamp[q] == 0 {
+                    scratch.home_pos[q] = layout.array.position(m.q);
+                    scratch.moved_list.push(m.q);
                 }
+                scratch.moved_stamp[q] = guard as u64;
             }
+            layout.array.apply_aod_moves(&plan.moves).expect("validated plan must commit");
+            mover_plans.push(plan.moves.len() as u32);
+            committed_moves.extend_from_slice(&plan.moves);
+            move_distance_um = move_distance_um.max(plan.max_distance_um);
+            stats.moves_planned += 1;
+            stats.total_move_distance_um += plan.max_distance_um;
+            kept.push(g);
         }
         stats.deferred_gates += deferred;
 
-        // The committed move may have displaced atoms of *other* kept CZ
+        // A committed move may have displaced atoms of *other* kept CZ
         // gates out of range; those defer too (they cannot move again).
-        if moved_this_layer {
+        if !mover_plans.is_empty() {
             kept.retain(|&g| match gates[g] {
                 Gate::Cz { a, b } => {
                     let in_range = layout.array.distance(a, b) <= r + 1e-9
@@ -933,7 +883,13 @@ fn schedule_gates_single(
         }
 
         // ---- Line 20: shuffle to avoid starving any one qubit. ----
-        kept.shuffle(&mut rng);
+        // Decision point 4: the multi-mover rule keeps `kept` in deadline
+        // order instead, so critical-path gates win blockade contention.
+        // Progress still holds: the first kept gate meets an empty
+        // blockade index and can never be ejected.
+        if multi.is_none() {
+            kept.shuffle(&mut rng);
+        }
         drop(sp_movement);
         profile::record(Stage::ScheduleMovement, t_movement, 0);
 
@@ -995,7 +951,8 @@ fn schedule_gates_single(
         );
         assert!(
             !accepted.is_empty(),
-            "blockade pass emptied a layer: curr={curr:?} kept={kept:?} moved={moved_this_layer} trap_changed={trap_changed:?}"
+            "blockade pass emptied a layer: curr={curr:?} kept={kept:?} movers={} trap_changed={trap_changed:?}",
+            mover_plans.len()
         );
 
         // ---- Line 23: execute. ----
@@ -1028,27 +985,44 @@ fn schedule_gates_single(
         profile::record(Stage::ScheduleFrontier, t_frontier, 0);
 
         // ---- Line 24: return moved atoms home. ----
+        // One return move per atom moved this layer; every other ever-moved
+        // atom's position epoch is unchanged since the layer that last
+        // moved it, so it is parked at home and is skipped (and counted)
+        // without a distance re-check.
         let t_return = profile::begin();
         let sp_return = parallax_trace::span!("schedule.return");
-        let mut return_distance_um = 0.0;
+        let mut return_distance_um = 0.0f64;
         if config.return_home {
-            return_distance_um = return_home_batch(
-                &scratch.home_pos,
-                &scratch.moved_list,
-                &scratch.moved_stamp,
-                &mut scratch.return_moves,
-                &mut scratch.return_skips,
-                &mut layout.array,
-                guard as u64,
-            );
+            let return_moves = &mut scratch.return_moves;
+            return_moves.clear();
+            for &q in &scratch.moved_list {
+                if scratch.moved_stamp[q as usize] != guard as u64 {
+                    scratch.return_skips += 1;
+                    continue;
+                }
+                let home = scratch.home_pos[q as usize];
+                let distance = layout.array.position(q).distance(&home);
+                // Same sub-nanometre filter as `plan_return_home`, so the
+                // emitted moves (and the serialized max distance) stay
+                // byte-identical to the per-layer oracle path.
+                if distance <= 1e-9 {
+                    continue;
+                }
+                return_distance_um = return_distance_um.max(distance);
+                return_moves.push(AodMove { q, x: home.x, y: home.y });
+            }
+            if !return_moves.is_empty() {
+                layout
+                    .array
+                    .apply_aod_moves(return_moves)
+                    .expect("home configuration is always valid");
+            }
         }
         drop(sp_return);
         profile::record(Stage::ScheduleReturn, t_return, 0);
 
         stats.layer_count += 1;
         stats.trap_changes += trap_changes;
-        let mover_plans =
-            if moved_this_layer { vec![committed_moves.len() as u32] } else { Vec::new() };
         layers.push(ScheduledLayer {
             gate_indices: accepted.clone(),
             moves: committed_moves,
@@ -1065,6 +1039,9 @@ fn schedule_gates_single(
     stats.plan_cache_cross_hits = scratch.plans.cross_hits;
     stats.bucket_scratch_allocs = scratch.blockade.allocs;
     stats.home_return_skips = scratch.return_skips;
+    if let Some(rule) = &multi {
+        stats.multi_mover = rule.stats(&layers);
+    }
     stats.publish_metrics();
 
     let schedule = Schedule { layers, stats };

@@ -73,7 +73,7 @@ pub struct SubmitRequest {
     /// Home-return behaviour (Fig. 12 ablation arm).
     pub return_home: bool,
     /// Scheduler arm (wire key `scheduling`): `"single"` (default, paper
-    /// Algorithm 1) or `"multi-mover"` (the ROADMAP item 3 ablation).
+    /// Algorithm 1) or `"multi-mover"` (the multi-mover ablation).
     pub scheduling: SchedulingMode,
     /// Scheduling priority, 0..=9; higher pops first.
     pub priority: u8,
