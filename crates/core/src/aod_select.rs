@@ -11,7 +11,7 @@
 use crate::config::CompilerConfig;
 use crate::discretize::DiscretizedLayout;
 use parallax_circuit::{layers, Circuit, Gate};
-use parallax_hardware::{violates_separation, within_blockade, Point, Trap};
+use parallax_hardware::{violates_separation, within_blockade, CellGeometry, Point, Trap};
 
 /// Outcome of AOD qubit selection.
 #[derive(Debug, Clone)]
@@ -39,7 +39,92 @@ pub fn out_of_range_counts(circuit: &Circuit, layout: &DiscretizedLayout) -> Vec
 
 /// Count, per qubit, how often its gate blockades another CZ gate scheduled
 /// in the same ASAP layer (at initial positions).
+///
+/// Each layer's CZ operands are bucketed in a [`CellGeometry`] with cells
+/// the size of the blockade radius, and each CZ is tested only against
+/// the earlier CZs of its layer with an operand in a neighbouring cell,
+/// so each conflicting pair is counted once. The counts are small
+/// integers, so the totals equal [`blockade_interference_counts_naive`]'s
+/// all-pairs sweep exactly.
 pub fn blockade_interference_counts(circuit: &Circuit, layout: &DiscretizedLayout) -> Vec<f64> {
+    const NONE: u32 = u32::MAX;
+    let mut counts = vec![0.0; circuit.num_qubits()];
+    let array = &layout.array;
+    let r = layout.interaction_radius_um;
+    let factor = array.spec().blockade_factor;
+    // The reach covers `within_blockade`'s `+1e-9` squared-distance
+    // epsilon, as in the scheduler's blockade index; the pitch floor keeps
+    // the grid small when the radius is tiny.
+    let reach = r * factor + 1e-3;
+    let pitch = array.grid().pitch_um();
+    let cells = CellGeometry::new(array.spec().extent_um(), pitch, reach.max(pitch));
+    // Per-cell singly linked lists of operand entries (`2 * cz + side`),
+    // reset through `touched` after each layer.
+    let mut head = vec![NONE; cells.num_cells()];
+    let mut touched = Vec::new();
+    let (mut czs, mut pos, mut next, mut counted_by) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let gates = circuit.gates();
+    for layer in layers(circuit) {
+        czs.clear();
+        czs.extend(layer.iter().filter_map(|&i| match gates[i] {
+            Gate::Cz { a, b } => Some((a, b)),
+            _ => None,
+        }));
+        if czs.len() < 2 {
+            continue;
+        }
+        // Each CZ probes the operands of the CZs before it, then joins the
+        // index; `counted_by[i] == j` once the pair (i, j) is counted.
+        pos.clear();
+        next.clear();
+        counted_by.clear();
+        counted_by.resize(czs.len(), NONE);
+        for (j, &(a2, b2)) in czs.iter().enumerate() {
+            for q in [a2, b2] {
+                let p = array.position(q);
+                cells.for_each_cell_within(p, reach, |c| {
+                    let mut e = head[c];
+                    while e != NONE {
+                        let i = e as usize / 2;
+                        if counted_by[i] != j as u32
+                            && within_blockade(&pos[e as usize], &p, r, factor)
+                        {
+                            counted_by[i] = j as u32;
+                            let (a1, b1) = czs[i];
+                            for operand in [a1, b1, a2, b2] {
+                                counts[operand as usize] += 1.0;
+                            }
+                        }
+                        e = next[e as usize];
+                    }
+                });
+                pos.push(p);
+            }
+            for side in 0..2 {
+                let e = 2 * j + side;
+                let c = cells.cell_of(pos[e]);
+                if head[c] == NONE {
+                    touched.push(c);
+                }
+                next.push(head[c]);
+                head[c] = e as u32;
+            }
+        }
+        for c in touched.drain(..) {
+            head[c] = NONE;
+        }
+    }
+    counts
+}
+
+/// Differential oracle for [`blockade_interference_counts`]: every pair of
+/// CZs in each ASAP layer, all four operand pairings.
+#[cfg(any(test, debug_assertions))]
+pub fn blockade_interference_counts_naive(
+    circuit: &Circuit,
+    layout: &DiscretizedLayout,
+) -> Vec<f64> {
     let mut counts = vec![0.0; circuit.num_qubits()];
     let r = layout.interaction_radius_um;
     let factor = layout.array.spec().blockade_factor;
@@ -375,6 +460,90 @@ mod tests {
         // blockade each other at 2.5x the radius.
         let blk = blockade_interference_counts(&c, &d);
         assert!(blk.iter().all(|&b| b >= 1.0), "{blk:?}");
+    }
+
+    /// `depth` ASAP layers of random perfect matchings on `n` qubits, on a
+    /// random discretized layout of `spec` with interaction radius
+    /// `radius_pitches` grid pitches — dense CZ layers, so most gates have
+    /// blockade neighbours.
+    fn random_cz_layers(
+        spec: MachineSpec,
+        n: usize,
+        depth: usize,
+        seed: u64,
+        radius_pitches: f64,
+    ) -> (Circuit, DiscretizedLayout) {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state >> 11
+        };
+        let mut b = CircuitBuilder::new(n);
+        let mut qubits: Vec<u32> = (0..n as u32).collect();
+        for _ in 0..depth {
+            for i in (1..n).rev() {
+                qubits.swap(i, next() as usize % (i + 1));
+            }
+            for pair in qubits.chunks_exact(2) {
+                b.cz(pair[0], pair[1]);
+            }
+        }
+        let c = b.build();
+        let unit = |v: u64| v as f64 / (1u64 << 53) as f64;
+        let layout = GraphineLayout {
+            positions: (0..n).map(|_| (unit(next()), unit(next()))).collect(),
+            interaction_radius: 0.0,
+            energy: 0.0,
+            anneal_evals: 0,
+            anneal_allocs: 0,
+        };
+        let mut d = discretize(&c, &layout, spec);
+        d.interaction_radius_um = radius_pitches * d.array.grid().pitch_um();
+        (c, d)
+    }
+
+    #[test]
+    fn bucketed_blockade_counts_match_naive() {
+        let arms = [
+            (MachineSpec::quera_aquila_256(), 200, 0.0),
+            (MachineSpec::quera_aquila_256(), 256, 1.0),
+            (MachineSpec::quera_aquila_256(), 64, 2.5),
+            (MachineSpec::atom_1225(), 1000, 1.0),
+            (MachineSpec::synthetic_grid(46), 2000, 1.5),
+        ];
+        for (seed, (spec, n, radius)) in arms.into_iter().enumerate() {
+            let (c, d) = random_cz_layers(spec, n, 3, seed as u64, radius);
+            let naive = blockade_interference_counts_naive(&c, &d);
+            assert!(naive.iter().any(|&x| x > 0.0) || radius == 0.0, "arm {seed} has no conflicts");
+            assert_eq!(blockade_interference_counts(&c, &d), naive, "arm {seed}");
+        }
+    }
+
+    mod bucketed_blockade_counts_match_naive {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Random CZ layers at random radii: the per-qubit counts equal
+            /// the all-pairs oracle's, element for element.
+            #[test]
+            fn on_random_cz_layers(
+                n in 2usize..256,
+                depth in 1usize..5,
+                seed in 0u64..1_000_000,
+                radius in 0.0f64..6.0,
+            ) {
+                let (c, d) = random_cz_layers(MachineSpec::quera_aquila_256(), n, depth, seed, radius);
+                prop_assert_eq!(
+                    blockade_interference_counts(&c, &d),
+                    blockade_interference_counts_naive(&c, &d)
+                );
+            }
+        }
     }
 
     #[test]

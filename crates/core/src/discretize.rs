@@ -8,7 +8,7 @@
 
 use parallax_circuit::Circuit;
 use parallax_graphine::{connecting_radius, GraphineLayout, InteractionGraph};
-use parallax_hardware::{AtomArray, MachineSpec};
+use parallax_hardware::{AtomArray, MachineSpec, Site, SiteGrid};
 
 /// Result of discretization: a populated atom array (all atoms in the SLM)
 /// plus the interaction radius in µm.
@@ -30,6 +30,33 @@ pub fn discretize(
     circuit: &Circuit,
     layout: &GraphineLayout,
     spec: MachineSpec,
+) -> DiscretizedLayout {
+    discretize_with(circuit, layout, spec, SiteGrid::nearest_free_site, connecting_radius)
+}
+
+/// Differential oracle for [`discretize`]: the same pipeline on the
+/// unbounded nearest-free-site BFS and Prim's connecting radius.
+#[cfg(any(test, debug_assertions))]
+pub fn discretize_naive(
+    circuit: &Circuit,
+    layout: &GraphineLayout,
+    spec: MachineSpec,
+) -> DiscretizedLayout {
+    discretize_with(
+        circuit,
+        layout,
+        spec,
+        SiteGrid::nearest_free_site_naive,
+        parallax_graphine::connecting_radius_prim,
+    )
+}
+
+fn discretize_with(
+    circuit: &Circuit,
+    layout: &GraphineLayout,
+    spec: MachineSpec,
+    nearest_free_site: fn(&SiteGrid, Site) -> Option<Site>,
+    connecting_radius: fn(&[(f64, f64)]) -> f64,
 ) -> DiscretizedLayout {
     let n = circuit.num_qubits();
     assert_eq!(layout.positions.len(), n, "layout/circuit qubit-count mismatch");
@@ -65,9 +92,7 @@ pub fn discretize(
         let nx = (x - min_x) / span_x;
         let ny = (y - min_y) / span_y;
         let target = ((nx * scale).round() as u16, (ny * scale).round() as u16);
-        let site = array
-            .grid()
-            .nearest_free_site(target)
+        let site = nearest_free_site(array.grid(), target)
             .expect("machine has at least as many sites as qubits");
         array.place_in_slm(q, site);
     }
@@ -174,6 +199,50 @@ mod tests {
         };
         let d = discretize(&c, &layout, MachineSpec::quera_aquila_256());
         assert_eq!(d.array.grid().occupied_count(), 256);
+    }
+
+    /// Site-for-site and bit-for-bit against the unbounded-BFS/Prim
+    /// oracle: clustered layouts (long collision spills), a full machine,
+    /// and random scatter.
+    #[test]
+    fn matches_naive_oracle() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // Coordinates are `unit()^skew`: 1 scatters uniformly, larger
+        // powers pile atoms into one corner.
+        let arms: [(MachineSpec, usize, i32); 4] = [
+            (MachineSpec::quera_aquila_256(), 256, 1),
+            (MachineSpec::quera_aquila_256(), 90, 6),
+            (MachineSpec::atom_1225(), 1000, 3),
+            (MachineSpec::synthetic_grid(46), 2000, 8),
+        ];
+        for (spec, n, skew) in arms {
+            let c = chain_circuit(n);
+            let layout = GraphineLayout {
+                positions: (0..n).map(|_| (unit().powi(skew), unit().powi(skew))).collect(),
+                interaction_radius: 0.1,
+                energy: 0.0,
+                anneal_evals: 0,
+                anneal_allocs: 0,
+            };
+            let fast = discretize(&c, &layout, spec);
+            let naive = discretize_naive(&c, &layout, spec);
+            assert_eq!(
+                fast.interaction_radius_um.to_bits(),
+                naive.interaction_radius_um.to_bits(),
+                "{} qubits on {}",
+                n,
+                spec.name
+            );
+            for q in 0..n as u32 {
+                assert_eq!(fast.array.trap(q), naive.array.trap(q), "q{q} on {}", spec.name);
+            }
+        }
     }
 
     #[test]

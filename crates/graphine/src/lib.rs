@@ -53,7 +53,7 @@ mod stable;
 
 pub use graph::{CsrAdjacency, InteractionGraph};
 pub use placement::{place, placement_energy, EnergyTable, Placement, PlacementConfig};
-pub use radius::{connecting_radius, is_geometrically_connected};
+pub use radius::{connecting_radius, connecting_radius_prim, is_geometrically_connected};
 
 use parallax_circuit::Circuit;
 

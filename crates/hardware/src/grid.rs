@@ -169,10 +169,85 @@ impl SiteGrid {
         (sx, sy)
     }
 
-    /// Find the free site closest to `target` by BFS ring expansion
-    /// ("places atoms wherever there is free space" when the ideal cell is
-    /// taken). Returns `None` when the grid is full.
+    /// Find the free site closest to `target` (Euclidean, over site
+    /// centres) by breadth-first expansion through occupied sites with
+    /// 8-neighbour steps ("places atoms wherever there is free space" when
+    /// the ideal cell is taken). Returns `None` when the grid is full.
+    ///
+    /// **Tie-break:** among equally close free sites, the first one the
+    /// BFS reaches wins (level order; neighbours are probed at offsets
+    /// `(0,+1), (0,-1), (+1,0), (-1,0)`, then the four diagonals).
+    ///
+    /// **Depth bound:** once a free site at squared distance `best_d` is
+    /// known, the search stops after BFS depth `sqrt(best_d) / pitch + 1`.
+    /// Any free site at least as close lies on a straight king's-move path
+    /// from the target whose interior sites are all strictly closer —
+    /// hence occupied — so the BFS reaches it at depth equal to its
+    /// Chebyshev distance, which is at most its Euclidean distance over
+    /// the pitch; the extra layer absorbs float rounding. The argmin and
+    /// its tie-break are therefore exactly those of the unbounded search
+    /// ([`SiteGrid::nearest_free_site_naive`], kept as the oracle). A
+    /// target outside the grid is clamped to the border and searched
+    /// without the bound, since the path argument starts at the target.
     pub fn nearest_free_site(&self, target: Site) -> Option<Site> {
+        if self.contains(target) && !self.is_occupied(target) {
+            return Some(target);
+        }
+        let mut visited = vec![false; self.dim * self.dim];
+        let start = (target.0.min(self.dim as u16 - 1), target.1.min(self.dim as u16 - 1));
+        let bounded = start == target;
+        visited[self.index(start)] = true;
+        let mut level = vec![start];
+        let mut next = Vec::new();
+        let mut best: Option<(f64, Site)> = None;
+        let target_pos =
+            Point::new(target.0 as f64 * self.pitch_um, target.1 as f64 * self.pitch_um);
+        let mut depth = 0usize;
+        while !level.is_empty() {
+            if let (true, Some((bd, _))) = (bounded, best) {
+                if depth as f64 > bd.sqrt() / self.pitch_um + 1.0 {
+                    break;
+                }
+            }
+            for &site in &level {
+                if !self.is_occupied(site) {
+                    let d = self.site_position(site).distance_sq(&target_pos);
+                    match best {
+                        Some((bd, _)) if bd <= d => {}
+                        _ => best = Some((d, site)),
+                    }
+                    // Free sites are candidates, not corridors: expand
+                    // only through occupied sites.
+                    continue;
+                }
+                for (dx, dy) in
+                    [(0i32, 1i32), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1)]
+                {
+                    let nx = site.0 as i32 + dx;
+                    let ny = site.1 as i32 + dy;
+                    if nx < 0 || ny < 0 || nx >= self.dim as i32 || ny >= self.dim as i32 {
+                        continue;
+                    }
+                    let n = (nx as u16, ny as u16);
+                    let idx = self.index(n);
+                    if !visited[idx] {
+                        visited[idx] = true;
+                        next.push(n);
+                    }
+                }
+            }
+            std::mem::swap(&mut level, &mut next);
+            next.clear();
+            depth += 1;
+        }
+        best.map(|(_, s)| s)
+    }
+
+    /// Differential oracle for [`SiteGrid::nearest_free_site`]: the
+    /// original queue-driven BFS with no depth bound, which floods the
+    /// whole occupied component around the target. Ungated so downstream
+    /// crates' release-profile tests can diff against it.
+    pub fn nearest_free_site_naive(&self, target: Site) -> Option<Site> {
         if self.contains(target) && !self.is_occupied(target) {
             return Some(target);
         }
@@ -191,9 +266,6 @@ impl SiteGrid {
                     Some((bd, _)) if bd <= d => {}
                     _ => best = Some((d, site)),
                 }
-                // Keep scanning the current BFS frontier for a closer free
-                // site, but do not expand further once one is found: ring
-                // distance approximates Euclidean well enough here.
                 continue;
             }
             for (dx, dy) in
@@ -305,6 +377,91 @@ mod tests {
         }
         let s = g.nearest_free_site((1, 1)).unwrap();
         assert!(!g.is_occupied(s));
+    }
+
+    /// A `dim`-square grid with each site occupied with probability
+    /// `density` (xorshift keyed by `seed`).
+    fn random_grid(dim: usize, density: f64, seed: u64) -> SiteGrid {
+        let spec = MachineSpec { grid_dim: dim, ..MachineSpec::quera_aquila_256() };
+        let mut g = SiteGrid::new(&spec);
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        for y in 0..dim as u16 {
+            for x in 0..dim as u16 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if ((state >> 11) as f64 / (1u64 << 53) as f64) < density {
+                    g.occupy((x, y));
+                }
+            }
+        }
+        g
+    }
+
+    /// Diff the bounded search against the oracle at every in-grid target
+    /// plus clamped targets past each border.
+    fn assert_matches_naive(g: &SiteGrid) {
+        let d = g.dim() as u16;
+        let clamped = [(d, 0), (0, d), (d + 3, d / 2), (d / 2, d + 7), (d + 1, d + 1)];
+        let targets = (0..d).flat_map(|y| (0..d).map(move |x| (x, y))).chain(clamped);
+        for t in targets {
+            assert_eq!(g.nearest_free_site(t), g.nearest_free_site_naive(t), "target {t:?}");
+        }
+    }
+
+    #[test]
+    fn bounded_search_matches_naive_on_random_grids() {
+        for (seed, density) in [(1, 0.3), (2, 0.7), (3, 0.9), (4, 0.97), (5, 0.995)] {
+            assert_matches_naive(&random_grid(24, density, seed));
+        }
+        // A 64-side grid near capacity, as at 4,000 atoms on 4,096 sites.
+        assert_matches_naive(&random_grid(64, 0.98, 6));
+    }
+
+    #[test]
+    fn bounded_search_matches_naive_on_full_and_tie_heavy_grids() {
+        let full = random_grid(9, 1.1, 0);
+        assert_eq!(full.occupied_count(), 81);
+        for t in [(0, 0), (4, 4), (8, 8), (20, 3)] {
+            assert_eq!(full.nearest_free_site(t), None);
+            assert_eq!(full.nearest_free_site_naive(t), None);
+        }
+        // A solid block with a symmetric ring of holes: every hole on the
+        // ring ties, so the BFS order alone picks the answer.
+        let spec = MachineSpec { grid_dim: 21, ..MachineSpec::quera_aquila_256() };
+        let mut g = SiteGrid::new(&spec);
+        for x in 0..21u16 {
+            for y in 0..21u16 {
+                let (dx, dy) = (x.abs_diff(10), y.abs_diff(10));
+                if !(dx.max(dy) == 6 && (dx == 0 || dy == 0 || dx == dy)) {
+                    g.occupy((x, y));
+                }
+            }
+        }
+        assert_matches_naive(&g);
+        assert_eq!(g.nearest_free_site((10, 10)), Some((10, 16)));
+    }
+
+    mod bounded_search_matches_naive {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Random occupancy, any target (including clamped ones past
+            /// the border): the bounded BFS returns exactly the oracle's
+            /// site, or `None` with it.
+            #[test]
+            fn on_random_grids(
+                dim in 2usize..40,
+                density in 0.0f64..1.05,
+                seed in 0u64..1_000_000,
+                tx in 0u16..48,
+                ty in 0u16..48,
+            ) {
+                let g = random_grid(dim, density, seed);
+                prop_assert_eq!(g.nearest_free_site((tx, ty)), g.nearest_free_site_naive((tx, ty)));
+            }
+        }
     }
 
     #[test]

@@ -306,4 +306,48 @@ mod against_naive_oracles {
             assert_eq!(fast.array.trap(q), naive.array.trap(q), "q{q} trap");
         }
     }
+
+    /// The post-placement kernels at the size the scalability claim is
+    /// about: the 4,000-qubit scale circuit on fresh jittered layouts of
+    /// the 4,096-site Synthetic-4096 grid. Discretization (bounded
+    /// nearest-free-site BFS, bucketed MST radius) must match the
+    /// unbounded-BFS/Prim oracle site for site and bit for bit, and AOD
+    /// selection's bucketed blockade counts must match the all-pairs sweep
+    /// qubit for qubit; AOD selection over the two arrays then agrees
+    /// atom for atom.
+    #[test]
+    fn synthetic_4096_discretize_and_aod_selection_match_naive() {
+        use parallax_bench::scale::{scale_circuit, scale_layout};
+        use parallax_core::aod_select::{
+            blockade_interference_counts, blockade_interference_counts_naive,
+        };
+        use parallax_core::discretize::discretize_naive;
+
+        let machine = MachineSpec::synthetic_grid(64);
+        let circuit = scale_circuit(4000);
+        let cfg = CompilerConfig::quick(0);
+        for seed in [3, 17] {
+            let layout = scale_layout(4000, seed);
+            let mut fast = discretize(&circuit, &layout, machine);
+            let mut naive = discretize_naive(&circuit, &layout, machine);
+            assert_eq!(
+                fast.interaction_radius_um.to_bits(),
+                naive.interaction_radius_um.to_bits(),
+                "seed {seed} radius"
+            );
+            for q in 0..4000u32 {
+                assert_eq!(fast.array.trap(q), naive.array.trap(q), "seed {seed} q{q}");
+            }
+            let counts = blockade_interference_counts(&circuit, &fast);
+            assert_eq!(counts, blockade_interference_counts_naive(&circuit, &naive), "seed {seed}");
+            assert!(counts.iter().any(|&c| c > 0.0), "seed {seed}: no blockade conflicts");
+            let (sel_fast, sel_naive) = (
+                select_aod_qubits(&circuit, &mut fast, &cfg),
+                select_aod_qubits(&circuit, &mut naive, &cfg),
+            );
+            assert_eq!(sel_fast.selected, sel_naive.selected, "seed {seed}");
+            assert_eq!(sel_fast.dropped, sel_naive.dropped, "seed {seed}");
+            assert_eq!(sel_fast.scores, sel_naive.scores, "seed {seed}");
+        }
+    }
 }

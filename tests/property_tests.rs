@@ -90,10 +90,12 @@ proptest! {
         }
     }
 
-    /// The connecting radius really is minimal for connectivity.
+    /// The connecting radius really is minimal for connectivity — up to
+    /// about 2,000 points, so both the bucketed nearest-neighbour path and
+    /// its Prim fallback are exercised.
     #[test]
     fn connecting_radius_is_tight(
-        points in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..12)
+        points in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..2000)
     ) {
         let r = connecting_radius(&points);
         prop_assert!(is_geometrically_connected(&points, r));
