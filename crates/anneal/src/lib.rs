@@ -7,19 +7,11 @@
 //! bounded local refinement ([`local`]), and reheating restarts — the same
 //! structure as the SciPy optimizer, fully seeded and deterministic.
 //!
-//! Two hot-path properties beyond the SciPy shape:
-//!
-//! * **Allocation-free inner loops.** The visiting/acceptance loop and
-//!   every pattern-search probe reuse scratch buffers; [`AnnealResult::allocs`]
-//!   counts the remaining (constant, setup-only) heap traffic so profiling
-//!   can attest it stays flat as `evals` grows.
-//! * **Deterministic parallel restarts.** [`dual_annealing_multi`] fans `K`
-//!   independent seed streams over a scoped worker pool and reduces under a
-//!   total order, so results are bit-identical for a given seed at *any*
-//!   worker count, and `K = 1` reproduces [`dual_annealing`] exactly.
-//!   (Measured on this machine: the end-to-end placement-heavy benches
-//!   dropped 2.4–6.5x in the same change set — see `parallax-graphine`'s
-//!   crate docs for the table.)
+//! As in the paper, a placement is one seeded annealing stream. The
+//! visiting/acceptance loop and every pattern-search probe reuse scratch
+//! buffers; [`AnnealResult::allocs`] counts the remaining (constant,
+//! setup-only) heap traffic so profiling can attest it stays flat as
+//! `evals` grows.
 //!
 //! # Example
 //! ```
@@ -34,11 +26,9 @@
 
 pub mod gsa;
 pub mod local;
-pub mod parallel;
 pub mod special;
 
 pub use local::{pattern_search, LocalResult};
-pub use parallel::{dual_annealing_multi, restart_seed, MultiRestartParams};
 
 use gsa::{acceptance_probability, temperature, VisitingDistribution};
 use rand::rngs::StdRng;
@@ -78,8 +68,7 @@ impl Default for AnnealParams {
     }
 }
 
-/// Result of a [`dual_annealing`] run (or a [`dual_annealing_multi`]
-/// reduction over several independent restart streams).
+/// Result of a [`dual_annealing`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnnealResult {
     /// Best point found.

@@ -5,17 +5,13 @@
 //! experiments [table2|table3|fig9|fig10|table4|fig11|fig12|fig13|summary|all]
 //!             [--quick] [--seed N] [--trace FILE] [--metrics]
 //! experiments multi-mover [--quick] [--seed N]
-//! experiments sweep-restarts [--quick] [--seed N]
 //! experiments variational-sweep [--quick] [--seed N]
 //! experiments scale [--samples N] [--seed N]
 //! ```
 //!
 //! `--quick` restricts to six small benchmarks (useful in debug builds);
 //! the full suite is intended for `cargo run --release -p parallax-bench
-//! --bin experiments -- all`. `sweep-restarts` is a tuning mode (not part
-//! of `all`): it sweeps `PlacementConfig::restarts` over {1, 2, 4, 8} and
-//! reports placement wall time vs schedule quality, the measurement
-//! behind the preset default. `variational-sweep` (also outside `all`)
+//! --bin experiments -- all`. `variational-sweep` (outside `all`)
 //! measures the parameterized-template fast path: per benchmark, one
 //! structure compile followed by a 100-point rebind sweep, reporting the
 //! per-point rebind time against a warm full compile. `scale` (also
@@ -25,7 +21,9 @@
 //!
 //! `--trace FILE` enables span tracing for the run and exports every
 //! recorded span as Chrome trace-event JSON (open in `chrome://tracing`
-//! or Perfetto). The export summary goes to stderr, so stdout stays
+//! or Perfetto). A traced run (`--trace`, or `PARALLAX_TRACE=1`) also
+//! prints the cumulative stage table and the layout/plan cache lines.
+//! The export summary and the stage table go to stderr, so stdout stays
 //! byte-identical to an untraced run — tracing must never change results.
 //! `--metrics` appends the unified metrics registry (Prometheus text) to
 //! stdout after the tables.
@@ -159,19 +157,7 @@ fn main() {
         );
     }
 
-    // Tuning mode, deliberately excluded from `all`: every arm re-anneals.
-    if which == "sweep-restarts" {
-        let benches = selected_benchmarks(quick);
-        eprintln!("[experiments] restart sweep: {} benchmarks x 4 arms...", benches.len());
-        let rows = sweep_restarts(&benches, MachineSpec::quera_aquila_256(), seed, &[1, 2, 4, 8]);
-        let (h, d) = sweep_restarts_rows(&rows);
-        println!(
-            "== Restart sweep: placement cost vs schedule quality (QuEra-256) ==\n{}",
-            render_table(&h, &d)
-        );
-    }
-
-    // The variational-sweep scenario (outside `all`, like sweep-restarts):
+    // The variational-sweep scenario (outside `all`, like multi-mover):
     // the QAOA/VQE serving shape — one structure, many angle bindings.
     if which == "variational-sweep" {
         let benches = selected_benchmarks(quick);
@@ -188,7 +174,7 @@ fn main() {
         );
     }
 
-    // Fleet-scale cold-compile mode (outside `all`, like sweep-restarts:
+    // Fleet-scale cold-compile mode (outside `all`, like variational-sweep:
     // the table prints wall-clock times, so it can never join the
     // byte-identity set). Post-placement pipeline, fresh jittered layout
     // per sample — every cache key cold.
@@ -201,18 +187,21 @@ fn main() {
         );
     }
 
-    if parallax_core::profile::enabled() {
-        println!(
-            "== PARALLAX_PROFILE: cumulative pipeline stage costs ==\n{}",
+    // The stage spans fill the stage counters while tracing is on. The
+    // table and the cache lines go to stderr, so a traced run's stdout stays
+    // byte-identical to an untraced one.
+    if parallax_trace::enabled() {
+        eprintln!(
+            "== Stage spans: cumulative pipeline stage costs ==\n{}",
             parallax_core::profile::render()
         );
         let lc = parallax_core::layout_cache_stats();
         let pc = parallax_core::plan_cache_stats();
-        println!(
+        eprintln!(
             "layout cache: len {} weight {}/{} hits {} misses {} evictions {}",
             lc.len, lc.weight, lc.capacity, lc.hits, lc.misses, lc.evictions
         );
-        println!(
+        eprintln!(
             "plan cache:   len {} weight {}/{} hits {} misses {} evictions {}",
             pc.len, pc.weight, pc.capacity, pc.hits, pc.misses, pc.evictions
         );

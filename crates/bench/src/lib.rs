@@ -80,15 +80,14 @@ pub fn selected_benchmarks(quick: bool) -> Vec<Benchmark> {
 /// Placement settings: the full anneal is expensive for 128-qubit TFIM, so
 /// the iteration budget shrinks with qubit count.
 ///
-/// `restarts` is pinned to 1 — the deliberate outcome of the
-/// `experiments sweep-restarts` measurement (quick suite, seed 0): extra
-/// restart streams sometimes land in lower-energy placement basins (e.g.
-/// ADD 7.73 → 6.45 at K=4), but the compiled schedules' success
-/// probability moves only within noise (−0.55%…+1.11% across all six
-/// benchmarks and K ∈ {2,4,8}) while placement wall time scales linearly
-/// with K whenever restart streams outnumber idle cores. One stream keeps
-/// the presets at full quality-per-joule and keeps every seed-pinned
-/// output stable; pass `.with_restarts(k)` explicitly to explore basins.
+/// Placement anneals one seeded stream, as in the paper. A restart sweep
+/// measured this choice (quick suite, seed 0): extra independent streams
+/// sometimes landed in lower-energy placement basins (e.g. ADD 7.73 → 6.45
+/// at K=4), but the compiled schedules' success probability moved only
+/// within noise (−0.55%…+1.11% across all six benchmarks and
+/// K ∈ {2,4,8}) while placement wall time scaled linearly with K whenever
+/// streams outnumbered idle cores. One stream is therefore the only
+/// placement path.
 pub fn placement_for(qubits: usize, seed: u64) -> PlacementConfig {
     let max_iter = if qubits > 64 {
         120
@@ -97,7 +96,7 @@ pub fn placement_for(qubits: usize, seed: u64) -> PlacementConfig {
     } else {
         400
     };
-    PlacementConfig { seed, max_iter, local_search_evals: 800, restarts: 1, ..Default::default() }
+    PlacementConfig { seed, max_iter, local_search_evals: 800, ..Default::default() }
 }
 
 fn parallax_metrics(
@@ -522,91 +521,6 @@ pub fn fig13_rows(benches: &[Benchmark], seed: u64) -> (Vec<&'static str>, Vec<V
         }
         data.push(row);
     }
-    (headers, data)
-}
-
-/// One arm of the restart sweep: placement quality and cost at `restarts`
-/// parallel annealing streams.
-#[derive(Debug, Clone)]
-pub struct RestartSweepRow {
-    /// Benchmark acronym.
-    pub name: String,
-    /// Qubit count.
-    pub qubits: usize,
-    /// Restart streams.
-    pub restarts: usize,
-    /// Placement wall time, ms (fresh anneal, layout cache bypassed).
-    pub placement_ms: f64,
-    /// Annealed placement energy (lower is better).
-    pub energy: f64,
-    /// Executed CZ gates (constant across arms — Parallax adds zero SWAPs;
-    /// kept as the sanity column the ROADMAP item asks for).
-    pub cz: usize,
-    /// Probability of success of the compiled schedule.
-    pub success: f64,
-}
-
-/// Sweep `PlacementConfig::restarts` over `counts` for each benchmark:
-/// anneal fresh (the layout cache is deliberately bypassed so every arm
-/// pays its real placement cost), compile with the resulting layout, and
-/// report quality-vs-wall-time. This is the measurement behind the
-/// default restart count in [`placement_for`].
-pub fn sweep_restarts(
-    benches: &[Benchmark],
-    machine: MachineSpec,
-    seed: u64,
-    counts: &[usize],
-) -> Vec<RestartSweepRow> {
-    let mut rows = Vec::new();
-    for bench in benches {
-        let circuit = bench.circuit(seed);
-        for &restarts in counts {
-            let placement = placement_for(bench.qubits, seed).with_restarts(restarts);
-            let t0 = std::time::Instant::now();
-            let layout = GraphineLayout::generate(&circuit, &placement);
-            let placement_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let config = CompilerConfig { seed, placement, ..Default::default() };
-            let m = parallax_metrics(&circuit, &layout, machine, &config);
-            rows.push(RestartSweepRow {
-                name: bench.name.to_string(),
-                qubits: bench.qubits,
-                restarts,
-                placement_ms,
-                energy: layout.energy,
-                cz: m.cz,
-                success: m.success,
-            });
-        }
-    }
-    rows
-}
-
-/// Render the restart sweep as a table, with the relative success change
-/// vs the 1-restart arm of the same benchmark.
-pub fn sweep_restarts_rows(rows: &[RestartSweepRow]) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    let headers =
-        vec!["Bench", "Qubits", "Restarts", "Place (ms)", "Energy", "CZ", "Success", "vs K=1"];
-    let data = rows
-        .iter()
-        .map(|r| {
-            let base = rows
-                .iter()
-                .find(|b| b.name == r.name && b.restarts == 1)
-                .map(|b| b.success)
-                .unwrap_or(r.success);
-            let delta = if base > 0.0 { 100.0 * (r.success / base - 1.0) } else { 0.0 };
-            vec![
-                r.name.clone(),
-                r.qubits.to_string(),
-                r.restarts.to_string(),
-                format!("{:.1}", r.placement_ms),
-                format!("{:.4}", r.energy),
-                r.cz.to_string(),
-                format!("{:.3e}", r.success),
-                format!("{delta:+.2}%"),
-            ]
-        })
-        .collect();
     (headers, data)
 }
 

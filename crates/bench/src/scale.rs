@@ -109,7 +109,7 @@ pub fn scale_cold_compile(
 
 /// `experiments scale` rows: per machine arm, `samples` cold compiles at
 /// distinct seeds. Wall-clock columns, so this mode stays outside `all`
-/// (like `sweep-restarts`); the shape columns are seed-stable.
+/// (like `variational-sweep`); the shape columns are seed-stable.
 pub fn scale_rows(samples: usize, seed: u64) -> (Vec<&'static str>, Vec<Vec<String>>) {
     let headers =
         vec!["Machine", "Sites", "Qubits", "Samples", "Mean (ms)", "Min (ms)", "Layers", "Moves"];

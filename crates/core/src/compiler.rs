@@ -3,7 +3,7 @@
 use crate::aod_select::{select_aod_qubits, AodSelection};
 use crate::config::CompilerConfig;
 use crate::discretize::{discretize, DiscretizedLayout};
-use crate::profile;
+use crate::profile::{self, Stage};
 use crate::scheduler::{schedule_gates, Schedule};
 use parallax_circuit::Circuit;
 use parallax_graphine::GraphineLayout;
@@ -146,23 +146,17 @@ impl ParallaxCompiler {
         // (`stage.placement`, inside the layout cache) precedes this call
         // in `compile` and records as a sibling root of the same trace.
         let _root = parallax_trace::span!("compile");
-        let t = profile::begin();
-        let sp = parallax_trace::span!("stage.discretize");
+        let sp = profile::stage(Stage::Discretize);
         let mut disc: DiscretizedLayout = discretize(circuit, layout, self.machine);
         drop(sp);
-        profile::record(profile::Stage::Discretize, t, 0);
-        let t = profile::begin();
-        let sp = parallax_trace::span!("stage.aod_select");
+        let sp = profile::stage(Stage::AodSelect);
         let aod_selection = select_aod_qubits(circuit, &mut disc, &self.config);
         drop(sp);
-        profile::record(profile::Stage::AodSelect, t, 0);
         let home_positions: Vec<Point> =
             (0..circuit.num_qubits() as u32).map(|q| disc.array.position(q)).collect();
-        let t = profile::begin();
-        let sp = parallax_trace::span!("stage.schedule");
+        let sp = profile::stage(Stage::Schedule);
         let schedule = schedule_gates(circuit, &mut disc, &aod_selection, &self.config);
         drop(sp);
-        profile::record(profile::Stage::Schedule, t, 0);
         CompilationResult {
             machine: self.machine,
             interaction_radius_um: disc.interaction_radius_um,

@@ -83,8 +83,7 @@ impl CompilerConfig {
     /// and equal inputs imply bit-identical compilations. Stable across
     /// processes and platforms, unlike `DefaultHasher`. Placement knobs
     /// enter through [`PlacementConfig::fingerprint`], which covers every
-    /// result-steering field (including the restart count) and excludes
-    /// the worker count.
+    /// result-steering placement field.
     pub fn fingerprint(&self) -> u64 {
         let mut h = StableHasher::new();
         h.write_u64(self.seed)
@@ -131,5 +130,14 @@ mod tests {
         c.oor_weight = 0.5;
         assert_ne!(base, c.fingerprint());
         assert_ne!(base, CompilerConfig::quick(1).with_multi_mover().fingerprint());
+    }
+
+    /// The layout, result and disk caches key on these values, so a change
+    /// here re-keys every cached layout and result, on disk too.
+    #[test]
+    fn fingerprints_are_pinned() {
+        assert_eq!(PlacementConfig::quick(1).fingerprint(), 0x273e_61fd_a8fa_9f5f);
+        assert_eq!(PlacementConfig::default().fingerprint(), 0x1d11_2337_0e46_a911);
+        assert_eq!(CompilerConfig::default().fingerprint(), 0xa527_3a73_08fe_742c);
     }
 }

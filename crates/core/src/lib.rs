@@ -41,9 +41,9 @@
 //! stage fell 192.7 ms → 52.8 ms (3.7x) in PR 4 and 55.2 ms → 10.4 ms
 //! (5.3x, re-measured same machine) in PR 5 — movement planning itself
 //! 50.8 ms → 6.4 ms — on top of PR 3's 1.22 s → 0.19 s.
-//! `PARALLAX_PROFILE=1` records per-stage and per-scheduler-sub-stage
-//! timers ([`profile`]); the `profile_stages` example prints them for any
-//! workload.
+//! With tracing on (`PARALLAX_TRACE=1`), the stage spans also feed
+//! per-stage and per-scheduler-sub-stage counters ([`profile`]); the
+//! `profile_stages` example prints them for any workload.
 //!
 //! At 1000+ qubits the bottleneck shifts from algorithms to memory
 //! layout, so the structures every compile walks are flat SoA/CSR arrays

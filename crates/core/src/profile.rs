@@ -1,10 +1,12 @@
-//! Cheap opt-in pipeline profiling.
+//! Pipeline stage counters, fed by the stage spans.
 //!
-//! Set `PARALLAX_PROFILE=1` to record, per pipeline stage, the call count,
-//! cumulative wall-clock time, and the annealer's heap-allocation count.
-//! When the variable is unset the instrumentation collapses to one branch
-//! on a cached boolean per stage — no `Instant::now`, no atomics — so the
-//! compile hot path pays nothing.
+//! Each stage site opens one [`StageSpan`] with [`stage`]. The guard opens
+//! the stage's trace span (`stage.*` or `schedule.*`); when the span closes,
+//! the duration it measured, one call, and any allocations the site reports
+//! are added to the stage's counters. Tracing (`PARALLAX_TRACE=1`, or
+//! `parallax_trace::set_enabled`) is therefore the only switch: with it off
+//! the guard is inert, the counters stay unchanged, and the compile hot path
+//! pays the one relaxed atomic load of any disabled `span!`.
 //!
 //! Counters live in the process-wide `parallax-trace` metrics registry
 //! (families `parallax_stage_calls_total`, `parallax_stage_time_ns_total`,
@@ -12,11 +14,10 @@
 //! every surface report them: the compile service embeds [`snapshot`] in
 //! its `STATS` response (rendered by `parallax-client stats`), the same
 //! numbers appear in the `METRICS` Prometheus exposition, and the
-//! `experiments` binary prints the table after a profiled run.
+//! `experiments` binary prints the table to stderr after a traced run.
 
-use parallax_trace::Counter;
+use parallax_trace::{Counter, Span};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// The profiled pipeline stages, in pipeline order. The `Schedule*`
 /// entries are sub-stages of `Schedule`: they partition the scheduler's
@@ -55,6 +56,18 @@ pub const STAGE_NAMES: [&str; 8] = [
     "  return",
 ];
 
+/// Trace span names, indexed by `Stage as usize`.
+const SPAN_NAMES: [&str; 8] = [
+    "stage.placement",
+    "stage.discretize",
+    "stage.aod_select",
+    "stage.schedule",
+    "schedule.frontier",
+    "schedule.movement",
+    "schedule.blockade",
+    "schedule.return",
+];
+
 struct StageCounters {
     calls: Counter,
     time_ns: Counter,
@@ -62,14 +75,13 @@ struct StageCounters {
 }
 
 // Registry handles resolve once; afterwards a stage record is three
-// relaxed fetch_adds, same as the pre-registry static table. Sub-stage
-// display names carry a two-space indent for the text table; the metric
-// label is the trimmed name.
+// relaxed fetch_adds. Sub-stage display names carry a two-space
+// indent for the text table; the metric label is the trimmed name.
 fn table() -> &'static [StageCounters; 8] {
     static TABLE: OnceLock<[StageCounters; 8]> = OnceLock::new();
     TABLE.get_or_init(|| {
-        STAGE_NAMES.map(|name| {
-            let labels = [("stage", name.trim_start())];
+        std::array::from_fn(|i| {
+            let labels = [("stage", STAGE_NAMES[i].trim_start())];
             StageCounters {
                 calls: parallax_trace::counter("parallax_stage_calls_total", &labels),
                 time_ns: parallax_trace::counter("parallax_stage_time_ns_total", &labels),
@@ -79,43 +91,45 @@ fn table() -> &'static [StageCounters; 8] {
     })
 }
 
-static ENABLED: OnceLock<bool> = OnceLock::new();
-
-/// Whether profiling is on (`PARALLAX_PROFILE=1`; read once per process).
-pub fn enabled() -> bool {
-    *ENABLED.get_or_init(|| std::env::var("PARALLAX_PROFILE").is_ok_and(|v| v == "1"))
-}
-
-/// Turn profiling on programmatically (the `profile_stages` example). Must
-/// run before the first [`enabled`] call to take effect — the flag is
-/// latched on first read so the hot path stays one branch on a cached bool.
-pub fn force_enable() {
-    let _ = ENABLED.set(true);
-}
-
-/// Start timing a stage; `None` (and therefore zero cost downstream) when
-/// profiling is disabled.
+/// Open `stage`'s span. Inert when tracing is disabled: one relaxed load,
+/// like any disabled `span!`.
 #[inline]
-pub fn begin() -> Option<Instant> {
-    if enabled() {
-        Some(Instant::now())
-    } else {
-        None
+pub fn stage(stage: Stage) -> StageSpan {
+    // One interning cache per stage, as `span!` keeps one per call site.
+    static SPAN_IDS: [OnceLock<u32>; 8] = [const { OnceLock::new() }; 8];
+    let i = stage as usize;
+    StageSpan { span: Span::enter_interned(&SPAN_IDS[i], SPAN_NAMES[i]), stage }
+}
+
+/// An open stage span (see [`stage`]). Closing it, by drop or by
+/// [`StageSpan::finish`], records the span and adds its measured duration
+/// and one call to the stage's counters.
+#[must_use = "the stage is timed until the guard drops"]
+pub struct StageSpan {
+    span: Span,
+    stage: Stage,
+}
+
+impl StageSpan {
+    /// Close the span now, charging `allocs` heap allocations to the stage.
+    pub fn finish(mut self, allocs: u64) {
+        self.close(allocs);
+    }
+
+    fn close(&mut self, allocs: u64) {
+        if let Some(time_ns) = self.span.close() {
+            record(self.stage, time_ns, allocs);
+        }
     }
 }
 
-/// Record a stage completion started at `begin()`'s return. A `None` start
-/// (profiling disabled) is a no-op.
-#[inline]
-pub fn record(stage: Stage, started: Option<Instant>, allocs: u64) {
-    if let Some(t0) = started {
-        record_raw(stage, t0.elapsed().as_nanos() as u64, allocs);
+impl Drop for StageSpan {
+    fn drop(&mut self) {
+        self.close(0);
     }
 }
 
-/// Record a stage observation directly (used by [`record`] and by tests,
-/// which cannot set the environment variable process-wide).
-pub fn record_raw(stage: Stage, time_ns: u64, allocs: u64) {
+fn record(stage: Stage, time_ns: u64, allocs: u64) {
     let c = &table()[stage as usize];
     c.calls.inc();
     c.time_ns.add(time_ns);
@@ -131,11 +145,11 @@ pub struct StageSnapshot {
     pub calls: u64,
     /// Cumulative wall-clock time, µs.
     pub total_us: u64,
-    /// Cumulative annealer heap allocations (placement stage only).
+    /// Cumulative heap allocations (placement: annealer; blockade: index).
     pub allocs: u64,
 }
 
-/// Snapshot every stage (zeros when profiling never ran).
+/// Snapshot every stage (zeros when tracing never ran).
 pub fn snapshot() -> Vec<StageSnapshot> {
     table()
         .iter()
@@ -150,7 +164,7 @@ pub fn snapshot() -> Vec<StageSnapshot> {
 }
 
 /// Render the snapshot as an aligned text table (the `experiments` binary
-/// prints this after a `PARALLAX_PROFILE=1` run).
+/// prints this to stderr after a traced run).
 pub fn render() -> String {
     let snap = snapshot();
     let mut out = String::from("stage        calls     total_ms      allocs\n");
@@ -166,15 +180,8 @@ pub fn render() -> String {
     out
 }
 
-/// Zero every counter (test isolation).
-pub fn reset() {
-    for c in table() {
-        c.calls.reset();
-        c.time_ns.reset();
-        c.allocs.reset();
-    }
-}
-
+// The guard's compile-level behaviour is tested in `tests/stage_spans.rs`:
+// it needs a process where no other test compiles while tracing is on.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,9 +191,9 @@ mod tests {
     #[test]
     fn records_accumulate_and_render() {
         let before = snapshot();
-        record_raw(Stage::Placement, 2_500, 7);
-        record_raw(Stage::Placement, 1_500, 3);
-        record_raw(Stage::Schedule, 9_000, 0);
+        record(Stage::Placement, 2_500, 7);
+        record(Stage::Placement, 1_500, 3);
+        record(Stage::Schedule, 9_000, 0);
         let after = snapshot();
         let d = |i: usize| {
             (
@@ -201,14 +208,5 @@ mod tests {
         assert!(calls >= 1 && us >= 9);
         let table = render();
         assert!(table.contains("placement") && table.contains("schedule"));
-    }
-
-    #[test]
-    fn disabled_begin_is_none_without_env() {
-        // The test environment never sets PARALLAX_PROFILE, so begin() must
-        // stay on the zero-cost path.
-        if std::env::var("PARALLAX_PROFILE").is_err() {
-            assert!(begin().is_none());
-        }
     }
 }

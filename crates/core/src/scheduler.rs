@@ -46,9 +46,10 @@
 //! * a reusable [`SchedulerScratch`] so the per-layer loop performs no
 //!   allocations beyond the `ScheduledLayer` outputs themselves.
 //!
-//! `PARALLAX_PROFILE=1` additionally records per-sub-stage timers
-//! (frontier / movement / blockade / return-home) through
-//! [`crate::profile`], one call per executed layer.
+//! Each sub-stage (frontier / movement / blockade / return-home) runs
+//! inside a [`crate::profile`] stage span; with tracing on, every executed
+//! layer adds one call per sub-stage (two for the frontier) to the stage
+//! counters.
 
 use crate::aod_select::AodSelection;
 use crate::config::{CompilerConfig, SchedulingMode};
@@ -735,12 +736,10 @@ pub fn schedule_gates(
         assert!(guard <= cap, "scheduler livelock: {executed_count}/{num_gates} gates executed");
 
         // ---- Lines 7-11: build the dependency frontier layer. ----
-        let t_frontier = profile::begin();
-        let sp_frontier = parallax_trace::span!("schedule.frontier");
+        let sp_frontier = profile::stage(Stage::ScheduleFrontier);
         let curr = &mut scratch.curr;
         scratch.frontier.collect(&qubit_gates, &ptr, curr);
         drop(sp_frontier);
-        profile::record(Stage::ScheduleFrontier, t_frontier, 0);
         assert!(!curr.is_empty(), "dependency frontier is empty before completion");
         // Decision point 1: order.
         if let Some(rule) = multi.as_mut() {
@@ -748,8 +747,7 @@ pub fn schedule_gates(
         }
 
         // ---- Lines 12-19: movement resolution for out-of-range CZs. ----
-        let t_movement = profile::begin();
-        let sp_movement = parallax_trace::span!("schedule.movement");
+        let sp_movement = profile::stage(Stage::ScheduleMovement);
         let mut committed_moves: Vec<AodMove> = Vec::new();
         // Moves each committed plan contributed, in commit order.
         let mut mover_plans: Vec<u32> = Vec::new();
@@ -891,16 +889,14 @@ pub fn schedule_gates(
             kept.shuffle(&mut rng);
         }
         drop(sp_movement);
-        profile::record(Stage::ScheduleMovement, t_movement, 0);
 
         // ---- Lines 21-22: Rydberg blockade interference ejection. ----
         // A trap-changed atom spends the gate adjacent to its partner, so
         // its effective position is its partner's side. Precompute the
         // effective operand positions of every kept CZ gate (stamped
         // index-keyed scratch; the stamp is this layer's guard count).
-        let t_blockade = profile::begin();
         let blockade_allocs_before = scratch.blockade.allocs;
-        let sp_blockade = parallax_trace::span!("schedule.blockade");
+        let sp_blockade = profile::stage(Stage::ScheduleBlockade);
         for &g in kept.iter() {
             if let Gate::Cz { a, b } = gates[g] {
                 let mut pa = layout.array.position(a);
@@ -943,12 +939,7 @@ pub fn schedule_gates(
                 }
             }
         }
-        drop(sp_blockade);
-        profile::record(
-            Stage::ScheduleBlockade,
-            t_blockade,
-            (scratch.blockade.allocs - blockade_allocs_before) as u64,
-        );
+        sp_blockade.finish((scratch.blockade.allocs - blockade_allocs_before) as u64);
         assert!(
             !accepted.is_empty(),
             "blockade pass emptied a layer: curr={curr:?} kept={kept:?} movers={} trap_changed={trap_changed:?}",
@@ -978,19 +969,16 @@ pub fn schedule_gates(
                 }
             }
         }
-        let t_frontier = profile::begin();
-        let sp_frontier = parallax_trace::span!("schedule.frontier");
+        let sp_frontier = profile::stage(Stage::ScheduleFrontier);
         scratch.frontier.advance(advanced, gates, &qubit_gates, &ptr);
         drop(sp_frontier);
-        profile::record(Stage::ScheduleFrontier, t_frontier, 0);
 
         // ---- Line 24: return moved atoms home. ----
         // One return move per atom moved this layer; every other ever-moved
         // atom's position epoch is unchanged since the layer that last
         // moved it, so it is parked at home and is skipped (and counted)
         // without a distance re-check.
-        let t_return = profile::begin();
-        let sp_return = parallax_trace::span!("schedule.return");
+        let sp_return = profile::stage(Stage::ScheduleReturn);
         let mut return_distance_um = 0.0f64;
         if config.return_home {
             let return_moves = &mut scratch.return_moves;
@@ -1019,7 +1007,6 @@ pub fn schedule_gates(
             }
         }
         drop(sp_return);
-        profile::record(Stage::ScheduleReturn, t_return, 0);
 
         stats.layer_count += 1;
         stats.trap_changes += trap_changes;

@@ -10,9 +10,7 @@
 //!
 //! The placement hot path is engineered for repeat traffic: the annealer's
 //! inner loops are allocation-free with an incremental energy table
-//! (bit-identical to the reference objective), restart streams parallelize
-//! deterministically ([`PlacementConfig::restarts`] / `workers`), and
-//! `parallax-core` caches finished layouts by (interaction-graph hash,
+//! (bit-identical to the reference objective), and `parallax-core` caches finished layouts by (interaction-graph hash,
 //! machine fingerprint, [`PlacementConfig::fingerprint`]) so near-miss
 //! compilations skip the anneal entirely. Measured effect on the fixed-seed
 //! end-to-end benches (10-sample means, same machine, this change set):

@@ -9,7 +9,7 @@
 
 use crate::graph::{CsrAdjacency, InteractionGraph};
 use crate::stable::WordHasher;
-use parallax_anneal::{dual_annealing_multi, AnnealParams, MultiRestartParams};
+use parallax_anneal::{dual_annealing, AnnealParams};
 
 /// Configuration for the placement annealer.
 #[derive(Debug, Clone)]
@@ -22,27 +22,11 @@ pub struct PlacementConfig {
     pub local_search_evals: usize,
     /// Repulsion strength relative to total edge weight.
     pub repulsion_scale: f64,
-    /// Independent annealing restart streams (min 1). More streams explore
-    /// more basins; the best result wins under a total order, so the
-    /// outcome depends only on the seed and this count — never on thread
-    /// scheduling. `1` reproduces the single-stream placement exactly.
-    pub restarts: usize,
-    /// Worker threads for the restart streams (0 = available CPUs). Does
-    /// not affect the result, only wall-clock time, and is therefore
-    /// excluded from [`Self::fingerprint`].
-    pub workers: usize,
 }
 
 impl Default for PlacementConfig {
     fn default() -> Self {
-        Self {
-            seed: 0,
-            max_iter: 400,
-            local_search_evals: 1500,
-            repulsion_scale: 1.0,
-            restarts: 1,
-            workers: 0,
-        }
+        Self { seed: 0, max_iter: 400, local_search_evals: 1500, repulsion_scale: 1.0 }
     }
 }
 
@@ -52,23 +36,18 @@ impl PlacementConfig {
         Self { seed, max_iter: 80, local_search_evals: 400, ..Default::default() }
     }
 
-    /// Run `restarts` parallel annealing streams instead of one.
-    pub fn with_restarts(mut self, restarts: usize) -> Self {
-        self.restarts = restarts.max(1);
-        self
-    }
-
     /// Stable fingerprint over every knob that steers the annealed result
-    /// (floats by bit pattern). `workers` is deliberately excluded: the
-    /// worker count never changes the output, so layouts computed at any
-    /// parallelism are interchangeable under this key.
+    /// (floats by bit pattern).
     pub fn fingerprint(&self) -> u64 {
         let mut h = WordHasher::new();
+        // The trailing `1` is the annealing-stream count, which is always
+        // one. It stays in the hash so the layout-cache, result-cache and
+        // on-disk keys match those written when the count was a knob.
         h.word(self.seed)
             .word(self.max_iter as u64)
             .word(self.local_search_evals as u64)
             .word(self.repulsion_scale.to_bits())
-            .word(self.restarts.max(1) as u64);
+            .word(1);
         h.finish()
     }
 }
@@ -80,10 +59,10 @@ pub struct Placement {
     pub positions: Vec<(f64, f64)>,
     /// Final objective value.
     pub energy: f64,
-    /// Objective evaluations spent (summed across restart streams).
+    /// Objective evaluations spent.
     pub evals: usize,
-    /// Heap allocations the annealer performed (summed across streams);
-    /// stays tiny because the inner loops are allocation-free.
+    /// Heap allocations the annealer performed; stays tiny because the
+    /// inner loops are allocation-free.
     pub allocs: usize,
 }
 
@@ -290,12 +269,8 @@ impl<'g> EnergyTable<'g> {
     }
 }
 
-/// Run the annealed placement for `graph`.
-///
-/// With `config.restarts > 1` this fans the independent restart streams out
-/// over a scoped worker pool; each stream gets a private [`EnergyTable`]
-/// and scratch buffer, and the reduction's total order keeps the result
-/// bit-identical for a given seed at any worker count.
+/// Run the annealed placement for `graph`: one dual-annealing stream
+/// seeded with `config.seed`.
 pub fn place(graph: &InteractionGraph, config: &PlacementConfig) -> Placement {
     let q = graph.num_qubits;
     if q == 0 {
@@ -305,34 +280,24 @@ pub fn place(graph: &InteractionGraph, config: &PlacementConfig) -> Placement {
         return Placement { positions: vec![(0.5, 0.5)], energy: 0.0, evals: 0, allocs: 1 };
     }
     let bounds = vec![(0.0, 1.0); 2 * q];
-    let params = MultiRestartParams {
-        base: AnnealParams {
-            seed: config.seed,
-            max_iter: config.max_iter,
-            local_search_evals: config.local_search_evals,
-            ..Default::default()
-        },
-        restarts: config.restarts.max(1),
-        workers: config.workers,
+    let params = AnnealParams {
+        seed: config.seed,
+        max_iter: config.max_iter,
+        local_search_evals: config.local_search_evals,
+        ..Default::default()
     };
-    // Each stream owns a table that keeps the annealer's single-coordinate
-    // probes O(q) instead of O(q²) while returning bit-identical energies
-    // (see [`EnergyTable`]), plus a scratch buffer so the hot loop never
-    // allocates.
-    let result = dual_annealing_multi(
-        || {
-            let mut scratch = vec![(0.0f64, 0.0f64); q];
-            let mut table = EnergyTable::new(graph, config.repulsion_scale);
-            move |x: &[f64]| {
-                for (i, s) in scratch.iter_mut().enumerate() {
-                    *s = (x[2 * i], x[2 * i + 1]);
-                }
-                table.eval(&scratch)
-            }
-        },
-        &bounds,
-        &params,
-    );
+    // The table keeps the annealer's single-coordinate probes O(q) instead
+    // of O(q²) while returning bit-identical energies (see
+    // [`EnergyTable`]); the scratch buffer keeps the hot loop allocation-free.
+    let mut scratch = vec![(0.0f64, 0.0f64); q];
+    let mut table = EnergyTable::new(graph, config.repulsion_scale);
+    let objective = move |x: &[f64]| {
+        for (i, s) in scratch.iter_mut().enumerate() {
+            *s = (x[2 * i], x[2 * i + 1]);
+        }
+        table.eval(&scratch)
+    };
+    let result = dual_annealing(objective, &bounds, &params);
     let positions = (0..q).map(|i| (result.x[2 * i], result.x[2 * i + 1])).collect::<Vec<_>>();
     Placement { positions, energy: result.energy, evals: result.evals, allocs: result.allocs }
 }
@@ -406,34 +371,14 @@ mod tests {
     }
 
     #[test]
-    fn restarts_are_deterministic_at_any_worker_count() {
-        let g = line_graph(&[3.0, 1.0, 2.0, 5.0]);
-        let config =
-            |workers| PlacementConfig { workers, ..PlacementConfig::quick(9).with_restarts(4) };
-        let reference = place(&g, &config(1));
-        for workers in [2, 4, 8] {
-            assert_eq!(place(&g, &config(workers)), reference, "workers={workers}");
-        }
-        // And the winning energy is never worse than the single stream's.
-        let single = place(&g, &PlacementConfig::quick(9));
-        assert!(reference.energy <= single.energy);
-    }
-
-    #[test]
     fn fingerprint_tracks_result_steering_knobs_only() {
         let base = PlacementConfig::quick(1);
         assert_eq!(base.fingerprint(), PlacementConfig::quick(1).fingerprint());
         assert_ne!(base.fingerprint(), PlacementConfig::quick(2).fingerprint());
         assert_ne!(base.fingerprint(), PlacementConfig::default().fingerprint());
-        assert_ne!(base.fingerprint(), base.clone().with_restarts(3).fingerprint());
         let mut scaled = base.clone();
         scaled.repulsion_scale = 2.0;
         assert_ne!(base.fingerprint(), scaled.fingerprint());
-        // Worker count never changes the annealed result, so it must not
-        // change the fingerprint either (cache keys stay interchangeable).
-        let mut threaded = base.clone();
-        threaded.workers = 7;
-        assert_eq!(base.fingerprint(), threaded.fingerprint());
     }
 
     #[test]

@@ -311,8 +311,8 @@ fn fmt_us(us: u64) -> String {
 /// Render a `STATS` snapshot as the human-readable report that
 /// `parallax-client stats` prints: job counters, queue gauge, all four
 /// cache layers (per-server result cache, process-wide layout, move-plan,
-/// and compiled-template caches), the sweep/rebind counters, the
-/// `PARALLAX_PROFILE` stage table, and the latency histogram.
+/// and compiled-template caches), the sweep/rebind counters, the latency
+/// histogram, and the stage table (filled while tracing is on).
 pub fn render_stats(stats: &Json) -> String {
     let n = |key: &str| stats.get(key).and_then(Json::as_u64).unwrap_or(0);
     let mut out = String::new();
@@ -404,7 +404,7 @@ pub fn render_stats(stats: &Json) -> String {
                 ));
             }
         } else {
-            out.push_str("profile       disabled (set PARALLAX_PROFILE=1 on the server)\n");
+            out.push_str("profile       disabled (set PARALLAX_TRACE=1 on the server)\n");
         }
     }
     out.trim_end().to_string()
@@ -463,6 +463,18 @@ mod tests {
         assert!(text.contains("latency       count 1  mean 250.00 ms"), "{text}");
         assert!(text.contains("<= 1.000 s"), "histogram bucket missing:\n{text}");
         assert!(text.contains("profile"), "{text}");
+
+        // The stage table fills only while tracing is on; the disabled
+        // message names the switch that turns it on.
+        let untraced = Json::obj(vec![(
+            "profile",
+            Json::obj(vec![("enabled", Json::Bool(false)), ("stages", Json::Arr(Vec::new()))]),
+        )]);
+        let text = render_stats(&untraced);
+        assert!(
+            text.contains("profile       disabled (set PARALLAX_TRACE=1 on the server)"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -269,8 +269,9 @@ impl Metrics {
         ])
     }
 
-    /// The `PARALLAX_PROFILE` per-stage counters as a `STATS` sub-object
-    /// (all-zero stages when profiling is disabled).
+    /// The per-stage counters as a `STATS` sub-object. The stage spans feed
+    /// them, so `enabled` reports whether tracing is on (all-zero stages
+    /// when it never was).
     pub fn profile_json() -> Json {
         let stages = parallax_core::profile::snapshot()
             .iter()
@@ -284,7 +285,7 @@ impl Metrics {
             })
             .collect();
         Json::obj(vec![
-            ("enabled", Json::Bool(parallax_core::profile::enabled())),
+            ("enabled", Json::Bool(parallax_trace::enabled())),
             ("stages", Json::Arr(stages)),
         ])
     }

@@ -120,15 +120,11 @@ pub fn large_machine() -> impl Strategy<Value = (MachineSpec, usize)> {
     })
 }
 
-/// Strategy: a quick placement preset with a bounded random seed and
-/// occasional multi-restart/multi-worker arms — every knob that steers
-/// (or deliberately must not steer) placement results.
+/// Strategy: the quick placement preset at a bounded random seed. The
+/// seed is the only knob it varies; the other knobs keep their quick
+/// values.
 pub fn arb_quick_placement() -> impl Strategy<Value = PlacementConfig> {
-    (0u64..1 << 20, 1usize..4, 0usize..4).prop_map(|(seed, restarts, workers)| PlacementConfig {
-        restarts,
-        workers,
-        ..PlacementConfig::quick(seed)
-    })
+    (0u64..1 << 20).prop_map(PlacementConfig::quick)
 }
 
 /// Strategy: a variational sweep family — one seeded {U3, CZ} structure
@@ -308,15 +304,6 @@ mod tests {
                     template.structural_hash()
                 );
             }
-        }
-
-        #[test]
-        fn placements_honour_their_knobs(p in arb_quick_placement()) {
-            prop_assert!(p.restarts >= 1 && p.restarts < 4);
-            // The worker count must never enter the fingerprint.
-            let mut q = p.clone();
-            q.workers = (q.workers + 1) % 4;
-            prop_assert_eq!(p.fingerprint(), q.fingerprint());
         }
     }
 }

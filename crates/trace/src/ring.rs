@@ -12,12 +12,17 @@
 //! Readers ([`snapshot_events`]) validate each slot's sequence word before
 //! and after copying, so a torn (mid-write) slot is skipped, never surfaced.
 //!
-//! Tracing follows the same cached-boolean discipline as
-//! `parallax_core::profile`: [`enabled`] is one relaxed atomic load, and a
-//! disabled process pays nothing beyond that load per `span!` site. Unlike
-//! the profiler's env-latched flag, the state is runtime-flippable with
-//! [`set_enabled`] so in-process tests can byte-diff traced vs untraced
-//! compiles.
+//! The ring is bounded: once it is full, each new event overwrites the
+//! oldest published slot without counting anything. [`dropped_events`]
+//! counts only events whose writer lapped a predecessor still publishing.
+//!
+//! [`enabled`] is one relaxed atomic load, and a disabled process pays
+//! nothing beyond that load per `span!` site. The first read latches
+//! `PARALLAX_TRACE=1`; [`set_enabled`] flips the state at runtime, so
+//! in-process tests can byte-diff traced vs untraced compiles.
+//! `parallax_core::profile` opens its stage spans through [`Span::close`],
+//! which hands the measured duration to the stage counters, so one flag
+//! and one clock read serve both.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -337,11 +342,22 @@ impl Span {
     }
 }
 
-impl Drop for Span {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
+impl Span {
+    /// Close the span now: record its event and return the duration it
+    /// measured, in ns. `None` when the span is inert (tracing was disabled
+    /// at open) or already closed, so a second call, and the drop that
+    /// follows, record nothing.
+    #[inline]
+    pub fn close(&mut self) -> Option<u64> {
+        if !std::mem::replace(&mut self.active, false) {
+            return None;
         }
+        Some(self.record())
+    }
+
+    /// Record the event of an active span that is closing; returns its
+    /// duration in ns. Kept out of line so the inert path stays one branch.
+    fn record(&self) -> u64 {
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         let dur = now_ns().saturating_sub(self.start_ns);
         record_event(
@@ -352,6 +368,14 @@ impl Drop for Span {
             dur,
             current_trace_id(),
         );
+        dur
+    }
+}
+
+impl Drop for Span {
+    #[inline]
+    fn drop(&mut self) {
+        self.close();
     }
 }
 

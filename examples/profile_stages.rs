@@ -1,7 +1,7 @@
-//! Per-stage compile profiling for one workload: compiles it N times and
-//! prints the `PARALLAX_PROFILE` stage table (force-enabled, no env var
-//! needed). This is the measurement behind the scheduler-stage numbers in
-//! ROADMAP.md:
+//! Per-stage compile profiling for one workload: compiles it N times with
+//! span tracing on (no env var needed) and prints the stage table the
+//! stage spans fill. This is the measurement behind the scheduler-stage
+//! numbers in ROADMAP.md:
 //!
 //! ```text
 //! cargo run --release --example profile_stages -- TFIM 10
@@ -26,8 +26,9 @@ fn main() {
     let config = CompilerConfig { placement, ..CompilerConfig::default() };
     let compiler = ParallaxCompiler::new(MachineSpec::atom_1225(), config);
 
-    // Force profiling on for this process regardless of the env var.
-    profile::force_enable();
+    // Trace this process regardless of the env var: the stage spans feed
+    // the stage table only while tracing is on.
+    parallax_trace::set_enabled(true);
     for _ in 0..samples {
         let r = compiler.compile(&circuit);
         assert_eq!(r.cz_count(), circuit.cz_count());
