@@ -101,12 +101,14 @@ fn main() {
                 100.0 * s.cz_reduction_vs_eldi
             );
             println!(
-                "Success gain vs Graphine: {:.1}%   (paper: 46%)",
-                100.0 * s.success_gain_vs_graphine
+                "Success gain vs Graphine: {:.1}%   (paper: 46%)   geomean ratio {:.3e}",
+                100.0 * s.success_gain_vs_graphine,
+                s.success_ratio_geomean_vs_graphine
             );
             println!(
-                "Success gain vs Eldi:     {:.1}%   (paper: 28%)",
-                100.0 * s.success_gain_vs_eldi
+                "Success gain vs Eldi:     {:.1}%   (paper: 28%)   geomean ratio {:.3e}",
+                100.0 * s.success_gain_vs_eldi,
+                s.success_ratio_geomean_vs_eldi
             );
             println!(
                 "Trap changes per CZ:      {:.2}%   (paper: ~1.3%)\n",

@@ -642,6 +642,12 @@ pub struct Summary {
     pub success_gain_vs_graphine: f64,
     /// Mean relative success improvement vs ELDI (paper: 28%).
     pub success_gain_vs_eldi: f64,
+    /// Geometric mean of the success ratios Parallax / GRAPHINE. Unlike
+    /// the clamped mean of gains above, a 100x win on one benchmark and a
+    /// 100x loss on another average to 1.0 here.
+    pub success_ratio_geomean_vs_graphine: f64,
+    /// Geometric mean of the success ratios Parallax / ELDI.
+    pub success_ratio_geomean_vs_eldi: f64,
     /// Mean trap changes per CZ gate (paper: ~1.3%).
     pub trap_change_rate: f64,
 }
@@ -650,6 +656,11 @@ pub struct Summary {
 pub fn summarize(rows: &[ComparisonRow]) -> Summary {
     let n = rows.len() as f64;
     let mean = |f: &dyn Fn(&ComparisonRow) -> f64| rows.iter().map(f).sum::<f64>() / n;
+    // Success probabilities reach 1e-17 on deep circuits, so the ratios are
+    // averaged in log space; a zero probability is floored to the smallest
+    // positive f64 rather than poisoning the mean with an infinity.
+    let ln = |p: f64| p.max(f64::MIN_POSITIVE).ln();
+    let geomean = |f: &dyn Fn(&ComparisonRow) -> f64| mean(f).exp();
     Summary {
         cz_reduction_vs_graphine: mean(&|r| {
             1.0 - r.parallax.cz as f64 / r.graphine.cz.max(1) as f64
@@ -657,6 +668,10 @@ pub fn summarize(rows: &[ComparisonRow]) -> Summary {
         cz_reduction_vs_eldi: mean(&|r| 1.0 - r.parallax.cz as f64 / r.eldi.cz.max(1) as f64),
         success_gain_vs_graphine: mean(&|r| relative_gain(r.parallax.success, r.graphine.success)),
         success_gain_vs_eldi: mean(&|r| relative_gain(r.parallax.success, r.eldi.success)),
+        success_ratio_geomean_vs_graphine: geomean(&|r| {
+            ln(r.parallax.success) - ln(r.graphine.success)
+        }),
+        success_ratio_geomean_vs_eldi: geomean(&|r| ln(r.parallax.success) - ln(r.eldi.success)),
         trap_change_rate: mean(&|r| r.parallax.trap_changes as f64 / r.parallax.cz.max(1) as f64),
     }
 }
@@ -730,5 +745,21 @@ mod tests {
         assert!((s.cz_reduction_vs_graphine - 0.6).abs() < 1e-12);
         assert!((s.cz_reduction_vs_eldi - 0.2).abs() < 1e-12);
         assert!((s.success_gain_vs_eldi - 0.2).abs() < 1e-12);
+        assert!((s.success_ratio_geomean_vs_graphine - 3.0).abs() < 1e-12);
+        assert!((s.success_ratio_geomean_vs_eldi - 1.2).abs() < 1e-12);
+
+        // A 100x win and a 100x loss: the gain clamped at 10x turns the
+        // wash into +450%, while the geomean of ratios reports no change.
+        let pair = |name: &str, eldi: f64, parallax: f64| ComparisonRow {
+            name: name.into(),
+            qubits: 2,
+            graphine: m(100, eldi),
+            eldi: m(100, eldi),
+            parallax: m(100, parallax),
+        };
+        let s = summarize(&[pair("win", 1e-3, 1e-1), pair("loss", 1e-1, 1e-3)]);
+        assert!((s.success_gain_vs_eldi - (10.0 - 0.99) / 2.0).abs() < 1e-12);
+        assert!((s.success_ratio_geomean_vs_eldi - 1.0).abs() < 1e-12);
+        assert!((s.success_ratio_geomean_vs_graphine - 1.0).abs() < 1e-12);
     }
 }

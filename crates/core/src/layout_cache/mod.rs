@@ -1,5 +1,6 @@
 //! Process-wide caches of the expensive per-compile intermediates: annealed
-//! GRAPHINE **layouts** and successful AOD **move plans**.
+//! GRAPHINE **layouts**, successful AOD **move plans** and compiled sweep
+//! **templates**, all on the one size-aware LRU in [`lru`].
 //!
 //! The service's result cache can only answer *exact* repeats: the same
 //! circuit with different scheduling knobs (home-return, move recursion,
@@ -10,8 +11,8 @@
 //!   so different circuits with equal graphs share layouts),
 //! * the **machine** fingerprint, and
 //! * the **placement-parameter** fingerprint (seed, iteration budget,
-//!   repulsion scale, restart count — everything that steers the anneal;
-//!   the worker count is excluded because it never changes the result).
+//!   local-search budget and repulsion scale: everything that steers the
+//!   anneal).
 //!
 //! A hit returns a clone of a layout that is bit-identical to what a fresh
 //! anneal would produce (the whole placement stage is deterministic per
@@ -25,7 +26,7 @@
 //! so a 256-qubit layout is charged 256 units while a 4-qubit one costs
 //! 4, and large stale layouts are displaced before hordes of small ones.
 //!
-//! The **move-plan cache** ([`PlanCache`]) rides the same layer: the
+//! The **move-plan cache** ([`plan`]) rides the same layer: the
 //! scheduler's movement planner is a pure function of the array state and
 //! its `(mover, target, radius, recursion)` arguments, and under
 //! home-return the effective AOD configuration repeats — not only layer to
@@ -39,45 +40,39 @@
 //! ([`AtomArray::placed_state_matches`]), so a reused plan is bit-identical
 //! to what a fresh cascade would produce — by planner purity, not by
 //! trust in a 64-bit hash. The same `PARALLAX_LAYOUT_CACHE` budget governs
-//! both layers (plan entries are charged their snapshot + move counts in
-//! the same position-sized units; `0` disables both), and [`resize`]
-//! adjusts both at runtime.
+//! the layout, plan and template layers (plan entries are charged their
+//! snapshot + move counts in the same position-sized units; `0` disables
+//! all three), and [`resize`] adjusts all three at runtime.
 //!
-//! The cache layer is decomposed into one module per family — mirroring
-//! the engine-module split the ROADMAP cites from formualizer — so each
-//! family's key discipline and eviction semantics live (and are tested)
-//! next to their implementation:
+//! One module per family, so each family's key, weight and verification
+//! live (and are tested) next to each other:
 //!
+//! * [`lru`] — the shared size-aware LRU and its [`CacheStats`];
 //! * this module — the **layout** cache plus the shared budget plumbing
 //!   ([`resize`], `PARALLAX_LAYOUT_CACHE`, [`register_cache_metrics`]);
 //! * [`plan`] — the sharded cross-compile **move-plan** cache;
 //! * [`template`] — the compiled-**template** cache for variational sweeps;
 //! * [`persist`] — the **disk tier**: a content-addressed, versioned,
-//!   corruption-tolerant file store ([`persist::DiskStore`]) that gives any
-//!   in-memory cache layer a restart-surviving life (the service's result
-//!   cache rides it today; template persistence is the designed next user).
+//!   corruption-tolerant file store ([`persist::DiskStore`]). The service's
+//!   result cache is its only user.
 //!
 //! [`AtomArray::static_fingerprint`]: parallax_hardware::AtomArray::static_fingerprint
 //! [`AtomArray::aod_fingerprint`]: parallax_hardware::AtomArray::aod_fingerprint
 //! [`AtomArray::placed_state_matches`]: parallax_hardware::AtomArray::placed_state_matches
 
+pub mod lru;
 pub mod persist;
 pub mod plan;
 pub mod template;
 
+pub use lru::{CacheStats, Lru, Oversized};
 pub use persist::{DiskStore, DISK_FORMAT_VERSION};
-pub use plan::{
-    lookup_plan, plan_cache_stats, record_plan, PlanCache, PlanCacheStats, PlanKey, PLAN_SHARDS,
-};
-pub use template::{
-    lookup_template, record_template, template_cache_stats, TemplateCache, TemplateCacheStats,
-    TemplateKey,
-};
+pub use plan::{lookup_plan, plan_cache_stats, record_plan, PlanKey, PLAN_SHARDS};
+pub use template::{lookup_template, record_template, template_cache_stats, TemplateKey};
 
 use crate::profile::{self, Stage};
 use parallax_graphine::{GraphineLayout, InteractionGraph, PlacementConfig};
 use parallax_hardware::MachineSpec;
-use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 /// Content address of one layout computation.
@@ -106,148 +101,32 @@ impl LayoutKey {
     }
 }
 
-/// Counters and gauges of the layout cache (the `STATS` sub-object).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LayoutCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to anneal.
-    pub misses: u64,
-    /// Entries displaced by capacity pressure.
-    pub evictions: u64,
-    /// Entries currently cached.
-    pub len: usize,
-    /// Maximum total weight in qubit-units (0 = disabled).
-    pub capacity: usize,
-    /// Total weight of the cached entries, qubit-units.
-    pub weight: usize,
+/// A layout is charged its qubit count (its position count): a 256-qubit
+/// layout holds 256x the data of a 1-qubit one.
+fn layout_weight(layout: &GraphineLayout) -> usize {
+    layout.positions.len()
 }
 
-struct Entry {
+/// Cache `layout` under `key`. An oversized layout warns once per process,
+/// because an operator carrying a small entry-count-era
+/// `PARALLAX_LAYOUT_CACHE` value would otherwise see their hit rate
+/// silently drop to zero.
+fn insert_layout(
+    cache: &mut Lru<LayoutKey, GraphineLayout>,
+    key: LayoutKey,
     layout: GraphineLayout,
-    /// Last-touch tick for LRU eviction.
-    tick: u64,
-    /// Size of this entry in qubit-units (its position count): a
-    /// 256-qubit layout holds 256x the data of a 1-qubit one and is
-    /// charged accordingly.
-    weight: usize,
-}
-
-fn weight_of(layout: &GraphineLayout) -> usize {
-    layout.positions.len().max(1)
-}
-
-/// Bounded LRU map from [`LayoutKey`] to annealed layouts. Capacity is
-/// **size-aware**: entries are charged their qubit count rather than a
-/// flat 1, so one giant layout cannot silently occupy as little budget as
-/// a trivial one. Eviction scans for the stalest tick — O(entries), which
-/// is noise next to the anneal the cache avoids.
-pub struct LayoutCache {
-    map: HashMap<LayoutKey, Entry>,
-    tick: u64,
-    capacity: usize,
-    weight: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl LayoutCache {
-    /// Create a cache holding at most `capacity` qubit-units of layouts
-    /// (0 disables).
-    pub fn new(capacity: usize) -> Self {
-        Self { map: HashMap::new(), tick: 0, capacity, weight: 0, hits: 0, misses: 0, evictions: 0 }
-    }
-
-    /// Look up `key`, refreshing its recency and counting the hit/miss.
-    pub fn get(&mut self, key: &LayoutKey) -> Option<GraphineLayout> {
-        self.tick += 1;
-        match self.map.get_mut(key) {
-            Some(entry) => {
-                entry.tick = self.tick;
-                self.hits += 1;
-                Some(entry.layout.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Insert (or refresh) `key`, evicting least-recently-used layouts
-    /// until the new entry's weight fits. No-op when the cache is disabled
-    /// or the layout alone exceeds the whole budget (caching it would
-    /// wipe everything else for an entry that can never share) — the
-    /// latter warns once per process, because an operator carrying a
-    /// small entry-count-era `PARALLAX_LAYOUT_CACHE` value would
-    /// otherwise see their hit rate silently drop to zero.
-    pub fn insert(&mut self, key: LayoutKey, layout: GraphineLayout) {
-        if self.capacity == 0 {
-            return;
-        }
-        let weight = weight_of(&layout);
-        if weight > self.capacity {
-            static OVERSIZED: std::sync::Once = std::sync::Once::new();
-            let capacity = self.capacity;
-            OVERSIZED.call_once(|| {
-                eprintln!(
-                    "warning: a {weight}-qubit layout exceeds the whole layout-cache budget \
-                     ({capacity} qubit-units) and will not be cached; PARALLAX_LAYOUT_CACHE \
-                     is measured in qubit-units (it used to count entries) — raise it to \
-                     at least the largest circuit's qubit count"
-                );
-            });
-            return;
-        }
-        self.tick += 1;
-        if let Some(old) = self.map.remove(&key) {
-            self.weight -= old.weight;
-        }
-        while self.weight + weight > self.capacity {
-            self.evict_stalest();
-        }
-        self.weight += weight;
-        self.map.insert(key, Entry { layout, tick: self.tick, weight });
-    }
-
-    /// Current counters and gauges.
-    pub fn stats(&self) -> LayoutCacheStats {
-        LayoutCacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            len: self.map.len(),
-            capacity: self.capacity,
-            weight: self.weight,
-        }
-    }
-
-    /// Drop the least-recently-touched entry (callers guarantee the cache
-    /// is non-empty whenever they loop on this).
-    fn evict_stalest(&mut self) {
-        let stalest = self
-            .map
-            .iter()
-            .min_by_key(|(_, e)| e.tick)
-            .map(|(k, _)| *k)
-            .expect("nonzero weight implies an entry to evict");
-        self.weight -= self.map.remove(&stalest).expect("stalest key present").weight;
-        self.evictions += 1;
-    }
-
-    /// Change the budget at runtime: shrinking evicts stalest-first down
-    /// to the new capacity, `0` disables and clears.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        if capacity == 0 {
-            self.weight = 0;
-            self.map.clear();
-            return;
-        }
-        while self.weight > capacity {
-            self.evict_stalest();
-        }
+) {
+    let weight = layout_weight(&layout);
+    if let Err(Oversized { weight, capacity }) = cache.insert(key, layout, weight) {
+        static OVERSIZED: std::sync::Once = std::sync::Once::new();
+        OVERSIZED.call_once(|| {
+            eprintln!(
+                "warning: a {weight}-qubit layout exceeds the whole layout-cache budget \
+                 ({capacity} qubit-units) and will not be cached; PARALLAX_LAYOUT_CACHE \
+                 is measured in qubit-units (it used to count entries) — raise it to \
+                 at least the largest circuit's qubit count"
+            );
+        });
     }
 }
 
@@ -273,9 +152,9 @@ pub(crate) fn configured_capacity() -> usize {
     }
 }
 
-fn global() -> &'static Mutex<LayoutCache> {
-    static CACHE: OnceLock<Mutex<LayoutCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(LayoutCache::new(configured_capacity())))
+fn global() -> &'static Mutex<Lru<LayoutKey, GraphineLayout>> {
+    static CACHE: OnceLock<Mutex<Lru<LayoutKey, GraphineLayout>>> = OnceLock::new();
+    CACHE.get_or_init(|| Mutex::new(Lru::new(configured_capacity())))
 }
 
 /// Fetch or anneal the layout for `graph` under the given machine and
@@ -292,13 +171,13 @@ pub fn lookup_or_generate(
     let key = LayoutKey::new(graph, machine, placement);
     let probe = {
         let _s = parallax_trace::span!("cache.layout.probe");
-        global().lock().expect("layout cache lock").get(&key)
+        global().lock().expect("layout cache lock").get(&key).cloned()
     };
     if let Some(layout) = probe {
         return (layout, true);
     }
     let layout = GraphineLayout::from_graph(graph, placement);
-    global().lock().expect("layout cache lock").insert(key, layout.clone());
+    insert_layout(&mut global().lock().expect("layout cache lock"), key, layout.clone());
     (layout, false)
 }
 
@@ -318,7 +197,7 @@ pub fn cached_layout(
 }
 
 /// Snapshot of the process-wide layout cache counters.
-pub fn layout_cache_stats() -> LayoutCacheStats {
+pub fn layout_cache_stats() -> CacheStats {
     global().lock().expect("layout cache lock").stats()
 }
 
@@ -343,49 +222,38 @@ pub fn register_cache_metrics() {
     parallax_trace::register_collector(
         "parallax_core.caches",
         Box::new(|out| {
-            let push = |out: &mut Vec<parallax_trace::Sample>,
-                        cache: &str,
-                        hits: u64,
-                        misses: u64,
-                        evictions: u64,
-                        len: usize,
-                        capacity: usize,
-                        weight: usize| {
+            let push = |out: &mut Vec<parallax_trace::Sample>, cache: &str, s: CacheStats| {
                 let l = [("cache", cache)];
-                out.push(parallax_trace::Sample::counter("parallax_cache_hits_total", &l, hits));
-                out.push(parallax_trace::Sample::counter(
-                    "parallax_cache_misses_total",
-                    &l,
-                    misses,
-                ));
-                out.push(parallax_trace::Sample::counter(
-                    "parallax_cache_evictions_total",
-                    &l,
-                    evictions,
-                ));
-                out.push(parallax_trace::Sample::gauge("parallax_cache_entries", &l, len as u64));
-                out.push(parallax_trace::Sample::gauge(
-                    "parallax_cache_capacity_units",
-                    &l,
-                    capacity as u64,
-                ));
-                out.push(parallax_trace::Sample::gauge(
-                    "parallax_cache_weight_units",
-                    &l,
-                    weight as u64,
-                ));
+                out.extend([
+                    parallax_trace::Sample::counter("parallax_cache_hits_total", &l, s.hits),
+                    parallax_trace::Sample::counter("parallax_cache_misses_total", &l, s.misses),
+                    parallax_trace::Sample::counter(
+                        "parallax_cache_evictions_total",
+                        &l,
+                        s.evictions,
+                    ),
+                    parallax_trace::Sample::gauge("parallax_cache_entries", &l, s.len as u64),
+                    parallax_trace::Sample::gauge(
+                        "parallax_cache_capacity_units",
+                        &l,
+                        s.capacity as u64,
+                    ),
+                    parallax_trace::Sample::gauge(
+                        "parallax_cache_weight_units",
+                        &l,
+                        s.weight as u64,
+                    ),
+                ]);
             };
-            let s = layout_cache_stats();
-            push(out, "layout", s.hits, s.misses, s.evictions, s.len, s.capacity, s.weight);
-            let s = plan_cache_stats();
-            push(out, "plan", s.hits, s.misses, s.evictions, s.len, s.capacity, s.weight);
+            push(out, "layout", layout_cache_stats());
+            let plan = plan_cache_stats();
+            push(out, "plan", plan);
             out.push(parallax_trace::Sample::counter(
                 "parallax_cache_lock_contended_total",
                 &[("cache", "plan")],
-                s.contended,
+                plan.contended,
             ));
-            let s = template_cache_stats();
-            push(out, "template", s.hits, s.misses, s.evictions, s.len, s.capacity, s.weight);
+            push(out, "template", template_cache_stats());
         }),
     );
 }
@@ -414,70 +282,24 @@ mod tests {
     }
 
     #[test]
-    fn hit_miss_and_lru_eviction() {
-        let mut c = LayoutCache::new(2);
-        assert_eq!(c.get(&key(1)), None);
-        c.insert(key(1), layout(1.0));
-        c.insert(key(2), layout(2.0));
-        assert_eq!(c.get(&key(1)).unwrap().energy, 1.0); // 1 now MRU
-        c.insert(key(3), layout(3.0)); // evicts 2
+    fn layouts_are_charged_their_qubit_count() {
+        let mut c = Lru::new(100);
+        insert_layout(&mut c, key(1), sized_layout(1.0, 60));
+        assert_eq!(c.stats().weight, 60);
+        insert_layout(&mut c, key(2), sized_layout(2.0, 101)); // exceeds the whole budget
         assert_eq!(c.get(&key(2)), None);
-        assert!(c.get(&key(1)).is_some() && c.get(&key(3)).is_some());
+        assert_eq!(c.get(&key(1)).map(|l| l.positions.len()), Some(60));
+        insert_layout(&mut c, key(3), sized_layout(3.0, 50)); // evicts the 60-qubit layout
         let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.evictions, s.len), (3, 2, 1, 2));
-    }
-
-    #[test]
-    fn zero_capacity_disables_storage() {
-        let mut c = LayoutCache::new(0);
-        c.insert(key(1), layout(1.0));
-        assert_eq!(c.get(&key(1)), None);
-        assert_eq!(c.stats().len, 0);
-    }
-
-    #[test]
-    fn eviction_is_weighted_by_qubit_count() {
-        // Capacity 280 qubit-units: a 256-qubit layout plus one 20-qubit
-        // layout fit; the second 20-qubit layout displaces the (stale)
-        // large one — not a small one — because the large entry is charged
-        // its real size instead of a flat 1.
-        let mut c = LayoutCache::new(280);
-        c.insert(key(1), sized_layout(1.0, 256));
-        c.insert(key(2), sized_layout(2.0, 20));
-        assert_eq!(c.stats().weight, 276);
-        c.insert(key(3), sized_layout(3.0, 20));
-        assert_eq!(c.get(&key(1)), None, "the large layout must be evicted first");
-        assert!(c.get(&key(2)).is_some() && c.get(&key(3)).is_some());
-        let s = c.stats();
-        assert_eq!((s.evictions, s.len, s.weight), (1, 2, 40));
-    }
-
-    #[test]
-    fn oversized_layout_is_not_cached_and_evicts_nothing() {
-        let mut c = LayoutCache::new(100);
-        c.insert(key(1), sized_layout(1.0, 60));
-        c.insert(key(2), sized_layout(2.0, 101)); // exceeds the whole budget
-        assert_eq!(c.get(&key(2)), None);
-        assert!(c.get(&key(1)).is_some(), "existing entries must survive");
-        assert_eq!(c.stats().evictions, 0);
-    }
-
-    #[test]
-    fn reinserting_a_key_replaces_its_weight() {
-        let mut c = LayoutCache::new(100);
-        c.insert(key(1), sized_layout(1.0, 80));
-        c.insert(key(1), sized_layout(1.5, 40));
-        let s = c.stats();
-        assert_eq!((s.len, s.weight, s.evictions), (1, 40, 0));
-        assert_eq!(c.get(&key(1)).unwrap().positions.len(), 40);
+        assert_eq!((s.len, s.weight, s.evictions), (1, 50, 1));
     }
 
     #[test]
     fn distinct_key_components_do_not_collide() {
-        let mut c = LayoutCache::new(8);
-        c.insert(LayoutKey { graph: 1, machine: 1, placement: 1 }, layout(1.0));
-        c.insert(LayoutKey { graph: 1, machine: 2, placement: 1 }, layout(2.0));
-        c.insert(LayoutKey { graph: 1, machine: 1, placement: 2 }, layout(3.0));
+        let mut c = Lru::new(8);
+        insert_layout(&mut c, LayoutKey { graph: 1, machine: 1, placement: 1 }, layout(1.0));
+        insert_layout(&mut c, LayoutKey { graph: 1, machine: 2, placement: 1 }, layout(2.0));
+        insert_layout(&mut c, LayoutKey { graph: 1, machine: 1, placement: 2 }, layout(3.0));
         assert_eq!(c.get(&LayoutKey { graph: 1, machine: 1, placement: 1 }).unwrap().energy, 1.0);
         assert_eq!(c.get(&LayoutKey { graph: 1, machine: 2, placement: 1 }).unwrap().energy, 2.0);
         assert_eq!(c.get(&LayoutKey { graph: 1, machine: 1, placement: 2 }).unwrap().energy, 3.0);

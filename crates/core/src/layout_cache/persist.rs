@@ -1,6 +1,8 @@
 //! The **disk tier**: a content-addressed, restart-surviving store for
 //! canonical payload bytes, keyed by the same stable 128-bit identity the
-//! in-memory caches use (circuit hash, machine+config fingerprint).
+//! in-memory result cache uses (circuit hash, machine+config fingerprint).
+//! The compile service's result cache is its only user; the layout, plan
+//! and template caches live in memory only.
 //!
 //! Because every compile is deterministic — byte-identical output for the
 //! same key, the contract proven by the umbrella differential suites — a

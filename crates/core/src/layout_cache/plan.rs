@@ -21,10 +21,9 @@
 //! [`AtomArray::aod_fingerprint`]: parallax_hardware::AtomArray::aod_fingerprint
 //! [`AtomArray::placed_state_matches`]: parallax_hardware::AtomArray::placed_state_matches
 
-use super::configured_capacity;
+use super::{configured_capacity, CacheStats, Lru, Oversized};
 use crate::movement::MovePlan;
-use parallax_hardware::{AodMove, AtomArray, Point, Trap};
-use std::collections::HashMap;
+use parallax_hardware::{AtomArray, Point, Trap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -46,30 +45,7 @@ pub struct PlanKey {
     pub target: u32,
 }
 
-/// Counters and gauges of the plan cache (the `STATS` sub-object).
-/// The process-wide instance is sharded ([`ShardedPlanCache`]); these are
-/// the counters summed across every shard.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Lookups answered from the cache (exact state match).
-    pub hits: u64,
-    /// Lookups that had to run the probe cascade.
-    pub misses: u64,
-    /// Entries displaced by capacity pressure.
-    pub evictions: u64,
-    /// Probes that found their shard's lock held and had to block — the
-    /// residual serialization the sharding did not remove. With one global
-    /// mutex every concurrent probe pair collided; sharded, only probes
-    /// that hash to the same of [`PLAN_SHARDS`] locks can.
-    pub contended: u64,
-    /// Entries currently cached.
-    pub len: usize,
-    /// Maximum total weight in position-units (0 = disabled).
-    pub capacity: usize,
-    /// Total weight of the cached entries, position-units.
-    pub weight: usize,
-}
-
+/// One cached plan with everything its reuse is verified against.
 struct PlanEntry {
     /// Complete placed-atom state the plan was computed against; reuse
     /// requires an exact match, so hash collisions degrade to misses.
@@ -78,162 +54,60 @@ struct PlanEntry {
     r_bits: u64,
     /// Recursion budget the plan was computed under.
     max_recursion: usize,
-    moves: Vec<AodMove>,
-    max_distance_um: f64,
-    recursion_used: usize,
-    tick: u64,
-    weight: usize,
+    plan: MovePlan,
 }
 
-/// Bounded LRU map from [`PlanKey`] to validated move plans. Same
-/// size-aware eviction discipline as [`super::LayoutCache`]: an entry is
+/// One shard: an LRU from [`PlanKey`] to verified move plans. An entry is
 /// charged one unit per snapshot position plus one per stored move, so
 /// plans for big arrays displace proportionally more than plans for small
 /// ones.
-pub struct PlanCache {
-    map: HashMap<PlanKey, PlanEntry>,
-    tick: u64,
-    capacity: usize,
-    weight: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+type PlanCache = Lru<PlanKey, PlanEntry>;
+
+/// The recorded plan for `key`, honoured only when the entry's recorded
+/// state and planner knobs match `array`/`r_um`/`max_recursion` exactly.
+/// A rejected entry counts as a miss.
+fn get_plan(
+    cache: &mut PlanCache,
+    key: &PlanKey,
+    array: &AtomArray,
+    r_um: f64,
+    max_recursion: usize,
+) -> Option<MovePlan> {
+    cache
+        .get_if(key, |e| {
+            e.r_bits == r_um.to_bits()
+                && e.max_recursion == max_recursion
+                && array.placed_state_matches(&e.snapshot)
+        })
+        .map(|e| e.plan.clone())
 }
 
-impl PlanCache {
-    /// Create a cache holding at most `capacity` position-units of plans
-    /// (0 disables).
-    pub fn new(capacity: usize) -> Self {
-        Self { map: HashMap::new(), tick: 0, capacity, weight: 0, hits: 0, misses: 0, evictions: 0 }
-    }
-
-    /// Look up `key`, honouring a hit only when the entry's recorded state
-    /// and planner knobs match `array`/`r_um`/`max_recursion` exactly.
-    pub fn get(
-        &mut self,
-        key: &PlanKey,
-        array: &AtomArray,
-        r_um: f64,
-        max_recursion: usize,
-    ) -> Option<MovePlan> {
-        self.tick += 1;
-        match self.map.get_mut(key) {
-            Some(e)
-                if e.r_bits == r_um.to_bits()
-                    && e.max_recursion == max_recursion
-                    && array.placed_state_matches(&e.snapshot) =>
-            {
-                e.tick = self.tick;
-                self.hits += 1;
-                Some(MovePlan {
-                    moves: e.moves.clone(),
-                    max_distance_um: e.max_distance_um,
-                    recursion_used: e.recursion_used,
-                })
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Insert (or refresh) `key`, evicting stalest entries until the new
-    /// entry fits. `snapshot` is the complete placed-atom state the plan
-    /// was computed against ([`AtomArray::placed_snapshot`]) — built by
-    /// the caller so the O(atoms) walk happens *outside* this cache's
-    /// lock. Like the layout cache: disabled at capacity 0, and an entry
-    /// outweighing the whole budget warns once per process and is not
-    /// cached.
-    ///
-    /// [`AtomArray::placed_snapshot`]: parallax_hardware::AtomArray::placed_snapshot
-    pub fn insert(
-        &mut self,
-        key: PlanKey,
-        snapshot: Vec<(u32, Trap, Point)>,
-        r_um: f64,
-        rec: usize,
-        plan: &MovePlan,
-    ) {
-        if self.capacity == 0 {
-            return;
-        }
-        let weight = (snapshot.len() + plan.moves.len()).max(1);
-        if weight > self.capacity {
-            static OVERSIZED: std::sync::Once = std::sync::Once::new();
-            let capacity = self.capacity;
-            OVERSIZED.call_once(|| {
-                eprintln!(
-                    "warning: a {weight}-position move plan exceeds the whole plan-cache \
-                     budget ({capacity} position-units) and will not be cached; \
-                     PARALLAX_LAYOUT_CACHE sizes both the layout and plan caches — raise \
-                     it to at least the largest circuit's qubit count"
-                );
-            });
-            return;
-        }
-        self.tick += 1;
-        if let Some(old) = self.map.remove(&key) {
-            self.weight -= old.weight;
-        }
-        while self.weight + weight > self.capacity {
-            self.evict_stalest();
-        }
-        self.weight += weight;
-        self.map.insert(
-            key,
-            PlanEntry {
-                snapshot,
-                r_bits: r_um.to_bits(),
-                max_recursion: rec,
-                moves: plan.moves.clone(),
-                max_distance_um: plan.max_distance_um,
-                recursion_used: plan.recursion_used,
-                tick: self.tick,
-                weight,
-            },
-        );
-    }
-
-    /// Current counters and gauges. `contended` is owned by the sharded
-    /// wrapper — a single unshared shard never contends with itself.
-    pub fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            contended: 0,
-            len: self.map.len(),
-            capacity: self.capacity,
-            weight: self.weight,
-        }
-    }
-
-    /// Drop the least-recently-touched entry (callers guarantee the cache
-    /// is non-empty whenever they loop on this).
-    fn evict_stalest(&mut self) {
-        let stalest = self
-            .map
-            .iter()
-            .min_by_key(|(_, e)| e.tick)
-            .map(|(k, _)| *k)
-            .expect("nonzero weight implies an entry to evict");
-        self.weight -= self.map.remove(&stalest).expect("stalest key present").weight;
-        self.evictions += 1;
-    }
-
-    /// Change the budget at runtime: shrinking evicts stalest-first down
-    /// to the new capacity, `0` disables and clears.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        if capacity == 0 {
-            self.weight = 0;
-            self.map.clear();
-            return;
-        }
-        while self.weight > capacity {
-            self.evict_stalest();
-        }
+/// Cache `plan` under `key`. `snapshot` is the complete placed-atom state
+/// the plan was computed against ([`AtomArray::placed_snapshot`]), built
+/// by the caller so the O(atoms) walk happens *outside* the shard lock.
+/// An oversized plan warns once per process and is not cached.
+///
+/// [`AtomArray::placed_snapshot`]: parallax_hardware::AtomArray::placed_snapshot
+fn insert_plan(
+    cache: &mut PlanCache,
+    key: PlanKey,
+    snapshot: Vec<(u32, Trap, Point)>,
+    r_um: f64,
+    max_recursion: usize,
+    plan: &MovePlan,
+) {
+    let weight = snapshot.len() + plan.moves.len();
+    let entry = PlanEntry { snapshot, r_bits: r_um.to_bits(), max_recursion, plan: plan.clone() };
+    if let Err(Oversized { weight, capacity }) = cache.insert(key, entry, weight) {
+        static OVERSIZED: std::sync::Once = std::sync::Once::new();
+        OVERSIZED.call_once(|| {
+            eprintln!(
+                "warning: a {weight}-position move plan exceeds the whole plan-cache \
+                 budget ({capacity} position-units) and will not be cached; \
+                 PARALLAX_LAYOUT_CACHE sizes the layout, plan and template caches — raise \
+                 it to at least the largest circuit's qubit count"
+            );
+        });
     }
 }
 
@@ -243,7 +117,7 @@ impl PlanCache {
 /// concurrent serving traffic a single mutex serializes every scheduler
 /// on one cache line. Eight shards keyed by a stable fold of [`PlanKey`]
 /// cut that collision probability 8x while keeping each shard a plain
-/// [`PlanCache`] whose LRU/size-aware semantics are tested directly.
+/// size-aware LRU.
 pub const PLAN_SHARDS: usize = 8;
 
 /// Stable shard selector: an FNV-1a fold of the key's four words. Not
@@ -273,15 +147,15 @@ fn plan_shard_capacity(total: usize) -> usize {
 }
 
 /// The process-wide plan cache: [`PLAN_SHARDS`] independently locked
-/// [`PlanCache`]s plus a contention counter. A probe takes exactly one
+/// LRU shards plus a contention counter. A probe takes exactly one
 /// shard lock, chosen by [`plan_shard_index`]; the counter records how
 /// often `try_lock` found that shard held (the probe then blocks as
 /// before — sharding narrows the window, the counter measures what's
 /// left of it).
 struct ShardedPlanCache {
     shards: [Mutex<PlanCache>; PLAN_SHARDS],
-    /// The configured *total* budget — what [`PlanCacheStats::capacity`]
-    /// reports. Each shard holds `ceil(total / PLAN_SHARDS)`.
+    /// The configured *total* budget — what [`plan_cache_stats`] reports
+    /// as its capacity. Each shard holds `ceil(total / PLAN_SHARDS)`.
     capacity: AtomicUsize,
     contended: AtomicU64,
 }
@@ -312,11 +186,11 @@ impl ShardedPlanCache {
 
     /// Counters summed across every shard; `capacity` is the configured
     /// total rather than the per-shard sum (which rounds up).
-    fn stats(&self) -> PlanCacheStats {
-        let mut total = PlanCacheStats {
+    fn stats(&self) -> CacheStats {
+        let mut total = CacheStats {
             capacity: self.capacity.load(Ordering::Relaxed),
             contended: self.contended.load(Ordering::Relaxed),
-            ..PlanCacheStats::default()
+            ..CacheStats::default()
         };
         for shard in &self.shards {
             let s = shard.lock().expect("plan cache shard lock").stats();
@@ -354,7 +228,7 @@ pub fn lookup_plan(
     r_um: f64,
     max_recursion: usize,
 ) -> Option<MovePlan> {
-    plan_global().shard(key).get(key, array, r_um, max_recursion)
+    get_plan(&mut plan_global().shard(key), key, array, r_um, max_recursion)
 }
 
 /// Publish a freshly planned success for cross-compile reuse. The
@@ -362,11 +236,11 @@ pub fn lookup_plan(
 /// contend only on the (single-shard) map insert itself.
 pub fn record_plan(key: PlanKey, array: &AtomArray, r_um: f64, rec: usize, plan: &MovePlan) {
     let snapshot = array.placed_snapshot();
-    plan_global().shard(&key).insert(key, snapshot, r_um, rec, plan);
+    insert_plan(&mut plan_global().shard(&key), key, snapshot, r_um, rec, plan);
 }
 
 /// Snapshot of the process-wide plan cache counters, summed across shards.
-pub fn plan_cache_stats() -> PlanCacheStats {
+pub fn plan_cache_stats() -> CacheStats {
     plan_global().stats()
 }
 
@@ -379,7 +253,7 @@ pub(super) fn set_global_capacity(capacity: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parallax_hardware::MachineSpec;
+    use parallax_hardware::{AodMove, MachineSpec};
 
     fn plan_array() -> AtomArray {
         let mut a = AtomArray::new(MachineSpec::quera_aquila_256(), 3);
@@ -412,66 +286,42 @@ mod tests {
         let a = plan_array();
         let key = plan_key(&a);
         let mut c = PlanCache::new(64);
-        assert!(c.get(&key, &a, 7.0, 80).is_none());
-        c.insert(key, a.placed_snapshot(), 7.0, 80, &a_plan());
-        let hit = c.get(&key, &a, 7.0, 80).expect("exact repeat must hit");
+        assert!(get_plan(&mut c, &key, &a, 7.0, 80).is_none());
+        insert_plan(&mut c, key, a.placed_snapshot(), 7.0, 80, &a_plan());
+        let hit = get_plan(&mut c, &key, &a, 7.0, 80).expect("exact repeat must hit");
         assert_eq!(hit.moves, a_plan().moves);
         assert_eq!(hit.max_distance_um.to_bits(), a_plan().max_distance_um.to_bits());
         assert_eq!(hit.recursion_used, 2);
         // Different planner knobs: same key, but verification fails.
-        assert!(c.get(&key, &a, 7.5, 80).is_none(), "different radius must miss");
-        assert!(c.get(&key, &a, 7.0, 79).is_none(), "different budget must miss");
+        assert!(get_plan(&mut c, &key, &a, 7.5, 80).is_none(), "different radius must miss");
+        assert!(get_plan(&mut c, &key, &a, 7.0, 79).is_none(), "different budget must miss");
         // A mutated array (same key supplied by a buggy/colliding caller)
         // fails the exact snapshot comparison.
         let mut moved = a.clone();
         moved.apply_aod_moves(&[AodMove { q: 0, x: 20.0, y: 20.0 }]).unwrap();
-        assert!(c.get(&key, &moved, 7.0, 80).is_none(), "stale state must miss");
+        assert!(get_plan(&mut c, &key, &moved, 7.0, 80).is_none(), "stale state must miss");
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.len), (1, 4, 1));
         assert_eq!(s.weight, 3 + 1, "three placed atoms + one move");
     }
 
     #[test]
-    fn plan_eviction_is_size_aware_and_oversized_entries_warn_off() {
+    fn plans_are_charged_their_snapshot_and_moves() {
         let a = plan_array();
         let base = plan_key(&a);
         // Each entry weighs 4 (3 placed atoms + 1 move): capacity 8 holds
         // exactly two.
         let mut c = PlanCache::new(8);
         for mover in 0..3u32 {
-            c.insert(PlanKey { mover, ..base }, a.placed_snapshot(), 7.0, 80, &a_plan());
+            insert_plan(&mut c, PlanKey { mover, ..base }, a.placed_snapshot(), 7.0, 80, &a_plan());
         }
         let s = c.stats();
         assert_eq!((s.len, s.weight, s.evictions), (2, 8, 1));
-        assert!(c.get(&PlanKey { mover: 0, ..base }, &a, 7.0, 80).is_none(), "LRU evicted");
-        assert!(c.get(&PlanKey { mover: 2, ..base }, &a, 7.0, 80).is_some());
+        assert!(get_plan(&mut c, &PlanKey { mover: 0, ..base }, &a, 7.0, 80).is_none());
         // An entry outweighing the whole budget is skipped, nothing evicted.
         let mut tiny = PlanCache::new(3);
-        tiny.insert(base, a.placed_snapshot(), 7.0, 80, &a_plan());
-        assert_eq!(tiny.stats().len, 0);
-        assert_eq!(tiny.stats().evictions, 0);
-        // Capacity 0 disables storage outright.
-        let mut off = PlanCache::new(0);
-        off.insert(base, a.placed_snapshot(), 7.0, 80, &a_plan());
-        assert!(off.get(&base, &a, 7.0, 80).is_none());
-        assert_eq!(off.stats().len, 0);
-    }
-
-    #[test]
-    fn plan_set_capacity_shrinks_and_disables() {
-        let a = plan_array();
-        let base = plan_key(&a);
-        let mut c = PlanCache::new(64);
-        for mover in 0..4u32 {
-            c.insert(PlanKey { mover, ..base }, a.placed_snapshot(), 7.0, 80, &a_plan());
-        }
-        assert_eq!(c.stats().weight, 16);
-        c.set_capacity(8);
-        let s = c.stats();
-        assert_eq!((s.len, s.weight, s.capacity), (2, 8, 8));
-        c.set_capacity(0);
-        assert_eq!(c.stats().len, 0);
-        assert_eq!(c.stats().weight, 0);
+        insert_plan(&mut tiny, base, a.placed_snapshot(), 7.0, 80, &a_plan());
+        assert_eq!((tiny.stats().len, tiny.stats().evictions), (0, 0));
     }
 
     #[test]
@@ -486,8 +336,8 @@ mod tests {
         for mover in 0..32u32 {
             let key = PlanKey { mover, ..base };
             hit_shards.insert(plan_shard_index(&key));
-            c.shard(&key).insert(key, a.placed_snapshot(), 7.0, 80, &a_plan());
-            assert!(c.shard(&key).get(&key, &a, 7.0, 80).is_some(), "mover {mover}");
+            insert_plan(&mut c.shard(&key), key, a.placed_snapshot(), 7.0, 80, &a_plan());
+            assert!(get_plan(&mut c.shard(&key), &key, &a, 7.0, 80).is_some(), "mover {mover}");
         }
         assert!(hit_shards.len() > 1, "32 keys must spread over shards, got {hit_shards:?}");
         let s = c.stats();
@@ -511,7 +361,7 @@ mod tests {
             s.spawn(|| {
                 // Blocks until the main thread releases the shard; the
                 // try_lock miss is what the counter records.
-                let _ = c.shard(&key).get(&key, &a, 7.0, 80);
+                let _ = get_plan(&mut c.shard(&key), &key, &a, 7.0, 80);
             });
             while c.contended.load(Ordering::Relaxed) == 0 {
                 std::thread::yield_now();

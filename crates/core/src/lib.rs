@@ -27,7 +27,7 @@
 //! machine, placement-params) keys, with size-aware eviction (entries are
 //! charged their qubit count; `PARALLAX_LAYOUT_CACHE` sets the budget in
 //! qubit-units). Riding the same layer, the process-wide **move-plan
-//! cache** ([`layout_cache::PlanCache`]) reuses successful AOD movement
+//! cache** ([`layout_cache::plan`]) reuses successful AOD movement
 //! plans across compiles of the same layout, keyed by (layout hash,
 //! AOD-config fingerprint) and verified against the exact array state
 //! before every reuse; within a compile, the scheduler's per-compile plan
@@ -109,8 +109,7 @@ pub use compiler::{CompilationResult, ParallaxCompiler, SharedCompiler};
 pub use config::{CompilerConfig, SchedulingMode};
 pub use discretize::{discretize, DiscretizedLayout};
 pub use layout_cache::{
-    cached_layout, layout_cache_stats, plan_cache_stats, template_cache_stats, LayoutCache,
-    LayoutCacheStats, PlanCache, PlanCacheStats, PlanKey, TemplateCache, TemplateCacheStats,
+    cached_layout, layout_cache_stats, plan_cache_stats, template_cache_stats, CacheStats, PlanKey,
     TemplateKey,
 };
 pub use movement::{plan_move_into_range, plan_return_home, MoveFailure, MovePlan};

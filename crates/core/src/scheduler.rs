@@ -36,7 +36,7 @@
 //!   unchanged (position-epoch fast path, exact position comparison
 //!   fallback), because the planner is a pure function of the array state;
 //! * **successful-plan caching** — the dual of the failed-move memo plus a
-//!   process-wide cross-compile layer ([`crate::layout_cache::PlanCache`]):
+//!   process-wide cross-compile layer ([`crate::layout_cache::plan`]):
 //!   a gate whose move was planned before against the exact current AOD
 //!   configuration (the home-return steady state, within a compile or
 //!   across repeat compiles of the same layout) reuses the recorded plan
@@ -132,7 +132,7 @@ pub struct CompileStats {
     /// to fresh cascades by planner purity, so the schedule is unchanged.
     pub plan_cache_hits: usize,
     /// Successful move plans answered by the **process-wide** plan cache
-    /// ([`crate::layout_cache::PlanCache`]) — repeat traffic across
+    /// ([`crate::layout_cache::plan`]) — repeat traffic across
     /// compiles of the same layout skips the probe cascade entirely.
     pub plan_cache_cross_hits: usize,
     /// Heap allocations performed by the scheduler's bucketed blockade
@@ -426,62 +426,63 @@ impl BlockadeIndex {
 }
 
 // ---------------------------------------------------------------------------
-// Failed-move memoization
+// Per-compile configuration memo (failed moves and successful plans)
 // ---------------------------------------------------------------------------
 
-/// Per-compile memo of failed movement plans.
+/// Per-compile memo of movement-planner outcomes, keyed by `(mover,
+/// target)`: `ConfigMemo<()>` records failed probe cascades and
+/// `ConfigMemo<MovePlan>` successful plans.
 ///
 /// [`plan_move_into_range`] is a pure function of the array state and its
 /// `(mover, target)` arguments, and the only array mutations during
 /// scheduling are AOD move batches — SLM atoms never move (trap changes
-/// are virtual). A failed probe cascade therefore stays failed for as long
-/// as no AOD atom has a different position than when it failed. Each entry
-/// snapshots every AOD atom's position at failure time; a later query hits
-/// when the array's position epoch is unchanged (nothing at all moved) or,
-/// after the epoch moved on, when an exact comparison shows the AOD
+/// are virtual). A recorded outcome therefore stays valid for as long as
+/// no AOD atom has a different position than when it was recorded. Each
+/// entry snapshots every AOD atom's position; a later query hits when the
+/// array's position epoch is unchanged (nothing at all moved) or, after
+/// the epoch moved on, when an exact comparison shows the AOD
 /// configuration returned to the recorded one (the common case under
-/// home-return, where every layer's moves are undone).
-struct FailedMoveMemo {
-    entries: HashMap<(u32, u32), MemoEntry>,
+/// home-return, where every layer's moves are undone) — which re-arms the
+/// epoch fast path.
+struct ConfigMemo<T> {
+    entries: HashMap<(u32, u32), ConfigMemoEntry<T>>,
     hits: usize,
 }
 
-struct MemoEntry {
+struct ConfigMemoEntry<T> {
     epoch: u64,
     aod_snapshot: Vec<(u32, Point)>,
+    value: T,
 }
 
-impl FailedMoveMemo {
+impl<T> ConfigMemo<T> {
     fn new() -> Self {
         Self { entries: HashMap::new(), hits: 0 }
     }
 
-    /// Whether a recorded failure for `(mover, target)` is still valid.
-    /// Re-arms the epoch fast path when the configuration matches under a
-    /// newer epoch.
-    fn still_failed(&mut self, array: &AtomArray, mover: u32, target: u32) -> bool {
-        let Some(entry) = self.entries.get_mut(&(mover, target)) else {
-            return false;
-        };
-        if entry.epoch == array.positions_epoch() {
-            self.hits += 1;
-            return true;
-        }
-        if array.aod_config_matches(&entry.aod_snapshot) {
+    /// The outcome recorded for `(mover, target)`, if the AOD
+    /// configuration is exactly the one it was recorded against.
+    fn lookup(&mut self, array: &AtomArray, mover: u32, target: u32) -> Option<&T> {
+        let entry = self.entries.get_mut(&(mover, target))?;
+        if entry.epoch != array.positions_epoch() {
+            if !array.aod_config_matches(&entry.aod_snapshot) {
+                return None;
+            }
             entry.epoch = array.positions_epoch();
-            self.hits += 1;
-            true
-        } else {
-            false
         }
+        self.hits += 1;
+        Some(&entry.value)
     }
 
-    /// Record that `(mover, target)` failed against the current state.
-    fn record(&mut self, array: &AtomArray, mover: u32, target: u32) {
+    /// Record `value` as the outcome for `(mover, target)` in the current
+    /// state.
+    fn record(&mut self, array: &AtomArray, mover: u32, target: u32, value: T) {
         let mut aod_snapshot = Vec::new();
         array.aod_snapshot(&mut aod_snapshot);
-        self.entries
-            .insert((mover, target), MemoEntry { epoch: array.positions_epoch(), aod_snapshot });
+        self.entries.insert(
+            (mover, target),
+            ConfigMemoEntry { epoch: array.positions_epoch(), aod_snapshot, value },
+        );
     }
 }
 
@@ -489,66 +490,13 @@ impl FailedMoveMemo {
 // Successful-plan caching (per-compile memo + cross-compile layer)
 // ---------------------------------------------------------------------------
 
-/// Per-compile memo of **successful** movement plans, the dual of
-/// [`FailedMoveMemo`] with the same validity argument: the planner is a
-/// pure function of the array state and its arguments, and only AOD move
-/// batches mutate the array during scheduling, so a plan recorded against
-/// an AOD configuration is exactly what a fresh cascade would produce
-/// whenever that configuration recurs. Under home-return the configuration
-/// recurs every layer (atoms move out and back), which makes the epoch
-/// re-arm path the steady state on repetitive circuits.
-struct PlanMemo {
-    entries: HashMap<(u32, u32), PlanMemoEntry>,
-    hits: usize,
-}
-
-struct PlanMemoEntry {
-    epoch: u64,
-    aod_snapshot: Vec<(u32, Point)>,
-    plan: MovePlan,
-}
-
-impl PlanMemo {
-    fn new() -> Self {
-        Self { entries: HashMap::new(), hits: 0 }
-    }
-
-    /// The recorded plan for `(mover, target)` if the AOD configuration is
-    /// exactly the one it was planned against (epoch fast path, exact
-    /// snapshot fallback that re-arms the epoch).
-    fn lookup(&mut self, array: &AtomArray, mover: u32, target: u32) -> Option<MovePlan> {
-        let entry = self.entries.get_mut(&(mover, target))?;
-        if entry.epoch == array.positions_epoch() {
-            self.hits += 1;
-            return Some(entry.plan.clone());
-        }
-        if array.aod_config_matches(&entry.aod_snapshot) {
-            entry.epoch = array.positions_epoch();
-            self.hits += 1;
-            Some(entry.plan.clone())
-        } else {
-            None
-        }
-    }
-
-    /// Record a fresh success against the current state.
-    fn record(&mut self, array: &AtomArray, mover: u32, target: u32, plan: MovePlan) {
-        let mut aod_snapshot = Vec::new();
-        array.aod_snapshot(&mut aod_snapshot);
-        self.entries.insert(
-            (mover, target),
-            PlanMemoEntry { epoch: array.positions_epoch(), aod_snapshot, plan },
-        );
-    }
-}
-
-/// The scheduler's two-level plan-reuse state: the per-compile [`PlanMemo`]
+/// The scheduler's two-level plan-reuse state: the per-compile plan memo
 /// plus the content address into the process-wide
-/// [`crate::layout_cache::PlanCache`]. The static half of the key is
+/// [`crate::layout_cache::plan`] cache. The static half of the key is
 /// computed once per compile (SLM atoms never move while scheduling runs);
 /// the AOD half is re-fingerprinted at most once per position epoch.
 struct PlanCaches {
-    memo: PlanMemo,
+    memo: ConfigMemo<MovePlan>,
     static_fp: u64,
     aod_fp: u64,
     aod_fp_epoch: u64,
@@ -559,7 +507,7 @@ struct PlanCaches {
 impl PlanCaches {
     fn new(array: &AtomArray) -> Self {
         Self {
-            memo: PlanMemo::new(),
+            memo: ConfigMemo::new(),
             static_fp: array.static_fingerprint(),
             aod_fp: 0,
             aod_fp_epoch: 0,
@@ -591,7 +539,7 @@ impl PlanCaches {
         max_recursion: usize,
     ) -> Result<MovePlan, crate::movement::MoveFailure> {
         if let Some(plan) = self.memo.lookup(array, mover, target) {
-            return Ok(plan);
+            return Ok(plan.clone());
         }
         let _probe = parallax_trace::span!("cache.plan.probe");
         let key = crate::layout_cache::PlanKey {
@@ -632,7 +580,7 @@ struct SchedulerScratch {
     eff_pos: Vec<[Point; 2]>,
     eff_stamp: Vec<u64>,
     blockade: BlockadeIndex,
-    memo: FailedMoveMemo,
+    memo: ConfigMemo<()>,
     plans: PlanCaches,
     /// Per-compile home-return bookkeeping: each AOD atom's home is
     /// recorded once, the first layer that ever moves it (under
@@ -665,7 +613,7 @@ impl SchedulerScratch {
             eff_pos: vec![[Point::default(); 2]; num_gates],
             eff_stamp: vec![0; num_gates],
             blockade: BlockadeIndex::new(array.spec().extent_um(), margin, blockade_um),
-            memo: FailedMoveMemo::new(),
+            memo: ConfigMemo::new(),
             plans: PlanCaches::new(array),
             home_pos: vec![Point::default(); num_qubits],
             moved_list: Vec::new(),
@@ -791,7 +739,7 @@ pub fn schedule_gates(
                 continue;
             }
             let target = if mover == a { b } else { a };
-            if scratch.memo.still_failed(&layout.array, mover, target) {
+            if scratch.memo.lookup(&layout.array, mover, target).is_some() {
                 // The probe cascade failed against this exact AOD
                 // configuration before; the planner is pure, so it would
                 // fail identically — resolve with a trap change straight
@@ -818,7 +766,7 @@ pub fn schedule_gates(
                 Err(_) => {
                     // Failed move: resolve with a trap change (Section III:
                     // "Failed moves are resolved using trap changes").
-                    scratch.memo.record(&layout.array, mover, target);
+                    scratch.memo.record(&layout.array, mover, target, ());
                     stats.failed_moves += 1;
                     trap_changes += 1;
                     trap_changed.push((g, mover));
@@ -1582,40 +1530,40 @@ mod tests {
         let r = 7.5;
         // With zero recursion budget the blocked approach cannot resolve.
         assert!(plan_move_into_range(&a, 0, 1, r, 0).is_err());
-        let mut memo = FailedMoveMemo::new();
-        memo.record(&a, 0, 1);
-        assert!(memo.still_failed(&a, 0, 1), "identical state must hit");
+        let mut memo = ConfigMemo::new();
+        memo.record(&a, 0, 1, ());
+        assert!(memo.lookup(&a, 0, 1).is_some(), "identical state must hit");
         assert_eq!(memo.hits, 1);
 
         // The blocker moves well clear of the target (its column stays
         // right of any approach endpoint): the memo entry must go stale,
         // and the re-probe now succeeds — the gate became plannable.
         a.apply_aod_moves(&[AodMove { q: 2, x: 98.0, y: 70.0 }]).unwrap();
-        assert!(!memo.still_failed(&a, 0, 1), "stale entry must force a re-probe");
+        assert!(memo.lookup(&a, 0, 1).is_none(), "stale entry must force a re-probe");
         assert!(plan_move_into_range(&a, 0, 1, r, 0).is_ok());
     }
 
     #[test]
     fn memo_rearms_epoch_when_configuration_returns() {
         let mut a = memo_array();
-        let mut memo = FailedMoveMemo::new();
-        memo.record(&a, 0, 1);
+        let mut memo = ConfigMemo::new();
+        memo.record(&a, 0, 1, ());
         // Move the blocker away and back: the epoch moved on, but the
         // exact-position comparison recognises the configuration.
         let home = a.position(2);
         a.apply_aod_moves(&[AodMove { q: 2, x: 77.0, y: 70.0 }]).unwrap();
         a.apply_aod_moves(&[AodMove { q: 2, x: home.x, y: home.y }]).unwrap();
-        assert!(memo.still_failed(&a, 0, 1), "returned configuration must hit");
+        assert!(memo.lookup(&a, 0, 1).is_some(), "returned configuration must hit");
         // The second query takes the re-armed epoch fast path.
-        assert!(memo.still_failed(&a, 0, 1));
+        assert!(memo.lookup(&a, 0, 1).is_some());
         assert_eq!(memo.hits, 2);
     }
 
     #[test]
     fn memo_misses_for_unknown_pair() {
         let a = memo_array();
-        let mut memo = FailedMoveMemo::new();
-        assert!(!memo.still_failed(&a, 0, 1));
+        let mut memo = ConfigMemo::<()>::new();
+        assert!(memo.lookup(&a, 0, 1).is_none());
         assert_eq!(memo.hits, 0);
     }
 
@@ -1634,7 +1582,7 @@ mod tests {
     fn plan_memo_reuses_only_the_exact_configuration() {
         let mut a = plannable_array();
         let plan = plan_move_into_range(&a, 0, 1, 7.0, 80).unwrap();
-        let mut memo = PlanMemo::new();
+        let mut memo = ConfigMemo::new();
         memo.record(&a, 0, 1, plan.clone());
 
         // Identical state: epoch fast path.

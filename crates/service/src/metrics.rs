@@ -12,6 +12,7 @@
 //! Snapshots are encoded with the canonical [`crate::json`] encoder.
 
 use crate::json::Json;
+use parallax_core::CacheStats;
 pub use parallax_trace::Counter;
 use parallax_trace::Histogram;
 
@@ -163,9 +164,10 @@ impl Metrics {
     /// `template_cache`, `profile`) are snapshotted here — they are global
     /// to the process, so there is nothing server-specific to inject.
     pub fn to_json(&self, queue_depth: usize, queue_capacity: usize, cache: Json) -> Json {
-        let layout_cache = Self::layout_cache_json();
-        let plan_cache = Self::plan_cache_json();
-        let template_cache = Self::template_cache_json();
+        let layout_cache = Self::cache_json(parallax_core::layout_cache_stats(), vec![]);
+        let plan = parallax_core::plan_cache_stats();
+        let plan_cache = Self::cache_json(plan, vec![("contended", Json::Int(plan.contended))]);
+        let template_cache = Self::cache_json(parallax_core::template_cache_stats(), vec![]);
         let profile = Self::profile_json();
         let multi_mover = Self::multi_mover_json();
         let load = |c: &Counter| Json::Int(c.get());
@@ -194,58 +196,33 @@ impl Metrics {
         ])
     }
 
-    /// The process-wide layout-cache counters as a `STATS` sub-object.
-    /// `capacity` and `weight` are in qubit-units (size-aware eviction);
-    /// `len` counts entries.
-    pub fn layout_cache_json() -> Json {
-        let s = parallax_core::layout_cache_stats();
-        Json::obj(vec![
+    /// One cache layer's counters as a `STATS` sub-object, followed by the
+    /// layer's `extra` fields. `len` counts entries; `capacity` and
+    /// `weight` are in the layer's unit:
+    ///
+    /// * `cache` (the result cache): payload bytes;
+    /// * `layout_cache`: qubit-units;
+    /// * `plan_cache`: position-units (snapshot positions plus stored
+    ///   moves per entry). Its extra `contended` field counts probes that
+    ///   found their shard's lock held;
+    /// * `template_cache`: qubit-units (qubit count plus scheduled
+    ///   gate/move volume).
+    ///
+    /// A plan-cache hit means the scheduler skipped a probe cascade for
+    /// repeat traffic across compiles; a template-cache hit means a sweep
+    /// point was served by a parameter rebind instead of a placement +
+    /// scheduling run.
+    pub fn cache_json(s: CacheStats, extra: Vec<(&str, Json)>) -> Json {
+        let mut fields = vec![
             ("len", Json::Int(s.len as u64)),
             ("capacity", Json::Int(s.capacity as u64)),
             ("weight", Json::Int(s.weight as u64)),
             ("hits", Json::Int(s.hits)),
             ("misses", Json::Int(s.misses)),
             ("evictions", Json::Int(s.evictions)),
-        ])
-    }
-
-    /// The process-wide move-plan cache counters as a `STATS` sub-object.
-    /// `capacity` and `weight` are in position-units (snapshot positions
-    /// plus stored moves per entry); `len` counts entries. Hits mean the
-    /// scheduler skipped a probe cascade for repeat traffic across
-    /// compiles; the per-compile reuse counters travel with each
-    /// compilation's own stats instead. `contended` counts probes that
-    /// found their shard's lock held — the residual serialization left
-    /// after sharding the cache across independent locks.
-    pub fn plan_cache_json() -> Json {
-        let s = parallax_core::plan_cache_stats();
-        Json::obj(vec![
-            ("len", Json::Int(s.len as u64)),
-            ("capacity", Json::Int(s.capacity as u64)),
-            ("weight", Json::Int(s.weight as u64)),
-            ("hits", Json::Int(s.hits)),
-            ("misses", Json::Int(s.misses)),
-            ("evictions", Json::Int(s.evictions)),
-            ("contended", Json::Int(s.contended)),
-        ])
-    }
-
-    /// The process-wide compiled-template cache counters as a `STATS`
-    /// sub-object. `capacity` and `weight` are qubit-units (a template is
-    /// charged its qubit count plus scheduled gate/move volume); `len`
-    /// counts entries. A hit means a whole variational sweep point was
-    /// served by a parameter rebind instead of a placement + scheduling
-    /// run.
-    pub fn template_cache_json() -> Json {
-        let s = parallax_core::template_cache_stats();
-        Json::obj(vec![
-            ("len", Json::Int(s.len as u64)),
-            ("capacity", Json::Int(s.capacity as u64)),
-            ("weight", Json::Int(s.weight as u64)),
-            ("hits", Json::Int(s.hits)),
-            ("misses", Json::Int(s.misses)),
-            ("evictions", Json::Int(s.evictions)),
-        ])
+        ];
+        fields.extend(extra);
+        Json::obj(fields)
     }
 
     /// The process-wide multi-mover scheduling counters as a `STATS`

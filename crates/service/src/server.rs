@@ -12,7 +12,7 @@
 //! and the caller blocks until every *accepted* job has compiled and
 //! replied — nothing accepted is ever dropped.
 
-use crate::cache::{CacheKey, ResultCache};
+use crate::cache::{insert_result, CacheKey, ResultCache};
 use crate::disk::DiskCache;
 use crate::json::Json;
 use crate::metrics::Metrics;
@@ -116,7 +116,7 @@ impl ServiceShared {
     /// tier (all-zero `len`/counters when no disk dir is configured, so
     /// the snapshot shape is stable either way).
     fn cache_json(&self) -> Json {
-        let c = self.cache.lock().expect("cache lock");
+        let stats = self.cache.lock().expect("cache lock").stats();
         let disk = match &self.disk {
             Some(d) => Json::obj(vec![
                 ("enabled", Json::Bool(true)),
@@ -135,15 +135,7 @@ impl ServiceShared {
                 ("store_errors", Json::Int(0)),
             ]),
         };
-        Json::obj(vec![
-            ("len", Json::Int(c.len() as u64)),
-            ("capacity", Json::Int(c.capacity() as u64)),
-            ("weight", Json::Int(c.weight() as u64)),
-            ("hits", Json::Int(c.hits())),
-            ("misses", Json::Int(c.misses())),
-            ("evictions", Json::Int(c.evictions())),
-            ("disk", disk),
-        ])
+        Metrics::cache_json(stats, vec![("disk", disk)])
     }
 }
 
@@ -615,7 +607,8 @@ fn handle_submit(req: &SubmitRequest, core: &Arc<ServerCore>) -> String {
 
     let key =
         CacheKey { circuit: circuit_content_hash(&circuit), compiler: compiler.fingerprint() };
-    if let Some(payload) = shared.cache.lock().expect("cache lock").get(&key) {
+    let cached = shared.cache.lock().expect("cache lock").get(&key).cloned();
+    if let Some(payload) = cached {
         Metrics::inc(&shared.metrics.cache_hits);
         let response = ok_response(req.id, &trace, true, &payload, arrived);
         shared.metrics.latency.record(arrived.elapsed().as_micros() as u64);
@@ -626,7 +619,7 @@ fn handle_submit(req: &SubmitRequest, core: &Arc<ServerCore>) -> String {
     // and served as cached, byte-identical to the compile that wrote it.
     if let Some(disk) = &shared.disk {
         if let Some(payload) = disk.load(&key) {
-            shared.cache.lock().expect("cache lock").insert(key, payload.clone());
+            insert_result(&mut shared.cache.lock().expect("cache lock"), key, payload.clone());
             Metrics::inc(&shared.metrics.cache_hits);
             let response = ok_response(req.id, &trace, true, &payload, arrived);
             shared.metrics.latency.record(arrived.elapsed().as_micros() as u64);
